@@ -1,0 +1,313 @@
+"""Exact policy evaluation for finite MDPs.
+
+Everything here is dense float64 linear algebra (LU solves via numpy); no
+iterative methods, no sampling.  The discount-one case always goes through
+dedicated average-reward branches built on the stationary distribution and
+the fundamental matrix ``Z = (I - g*P + g*e d)^{-1}``, which stays
+nonsingular at ``g = 1``; the resolvent ``(I - g*P)^{-1}`` is only ever
+formed for ``g < 1``.
+
+Value functions follow the zero-mean convention: the discounted value of a
+state accumulates ``r - eta`` where ``eta`` is the average reward, so the
+stationary expectation of the value vector is exactly zero for every
+discount.  The raw Poisson solution differs from this by the constant shift
+``eta`` in every entry; `analyze_policy` reports that shift explicitly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from apo.mdp import (
+    Mdp,
+    NotErgodicError,
+    StateDistribution,
+    TabularPolicy,
+    _check_compatible,
+    induced_reward,
+    induced_transition,
+)
+
+SOLVER_ATOL = 1e-10
+IDENTITY_ATOL = 1e-9
+
+
+class NumericalConditioningError(RuntimeError):
+    """A dense solve failed or came back with an unusable residual."""
+
+
+def _check_gamma(gamma: float) -> float:
+    g = float(gamma)
+    if not (0.0 <= g <= 1.0):
+        raise ValueError(f"discount must lie in [0, 1], got {gamma}")
+    return g
+
+
+def stationary_distribution(mdp: Mdp, policy: TabularPolicy) -> StateDistribution:
+    """Stationary distribution of the induced chain.
+
+    Solves the balance equations with one of them replaced by the
+    normalization row.  The replaced system is nonsingular exactly when the
+    chain has a single recurrent class, so unichains with transient states
+    work; a genuinely multichain policy raises `NotErgodicError`.
+    """
+    p = induced_transition(mdp, policy)
+    n = p.shape[0]
+    a = p.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        d = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NotErgodicError(f"induced chain is not ergodic: {exc}") from exc
+    residual = float(np.max(np.abs(d @ p - d)))
+    if residual > SOLVER_ATOL:
+        raise NotErgodicError(
+            f"induced chain is not ergodic: balance residual {residual:.3e}"
+        )
+    return StateDistribution(d)
+
+
+def discounted_state_distribution(
+    mdp: Mdp,
+    policy: TabularPolicy,
+    gamma: float,
+    d0: np.ndarray | None = None,
+) -> StateDistribution:
+    """Normalized discounted state occupancy ``(1-g) d0 (I - g P)^{-1}``.
+
+    At ``gamma = 0`` this is the initial distribution; at ``gamma = 1`` it
+    is the stationary distribution (the limit is taken analytically, not by
+    inverting a singular matrix).
+    """
+    g = _check_gamma(gamma)
+    if g == 1.0:
+        return stationary_distribution(mdp, policy)
+    p = induced_transition(mdp, policy)
+    start = mdp.init_dist if d0 is None else np.asarray(d0, dtype=np.float64)
+    if start.shape != (p.shape[0],):
+        raise ValueError(f"d0 has shape {start.shape}, expected {(p.shape[0],)}")
+    # d_g solves d_g (I - g P) = (1-g) d0, i.e. (I - g P)^T x = (1-g) d0.
+    d = np.linalg.solve(np.eye(p.shape[0]) - g * p.T, (1.0 - g) * start)
+    return StateDistribution(d)
+
+
+def average_reward(mdp: Mdp, policy: TabularPolicy) -> float:
+    """Long-run reward per step of the induced chain."""
+    d = stationary_distribution(mdp, policy)
+    return float(d.probs @ induced_reward(mdp, policy))
+
+
+def discounted_return(
+    mdp: Mdp,
+    policy: TabularPolicy,
+    gamma: float,
+    d0: np.ndarray | None = None,
+) -> float:
+    """Normalized discounted return ``(1-g) E[sum g^t r_t]``.
+
+    Equals the occupancy-weighted one-step reward; reduces to the average
+    reward at ``gamma = 1`` and to the initial expected reward at 0.
+    """
+    g = _check_gamma(gamma)
+    if g == 1.0:
+        return average_reward(mdp, policy)
+    d = discounted_state_distribution(mdp, policy, g, d0=d0)
+    return float(d.probs @ induced_reward(mdp, policy))
+
+
+def fundamental_matrix(mdp: Mdp, policy: TabularPolicy, gamma: float) -> np.ndarray:
+    """``Z = (I - g P + g e d)^{-1}`` for the induced chain.
+
+    Nonsingular for every discount in ``(0, 1]`` on a unichain; satisfies
+    ``Z e = e``, ``d Z = d`` and ``Z (I - g P) = I - g e d``.
+    """
+    g = _check_gamma(gamma)
+    p = induced_transition(mdp, policy)
+    d = stationary_distribution(mdp, policy).probs
+    n = p.shape[0]
+    a = np.eye(n) - g * p + g * np.outer(np.ones(n), d)
+    try:
+        z = np.linalg.solve(a, np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        cond = float(np.linalg.cond(a))
+        raise NumericalConditioningError(
+            f"fundamental matrix solve failed (condition estimate {cond:.3e})"
+        ) from exc
+    residual = float(np.max(np.abs(a @ z - np.eye(n))))
+    if residual > SOLVER_ATOL:
+        cond = float(np.linalg.cond(a))
+        raise NumericalConditioningError(
+            f"fundamental matrix residual {residual:.3e} "
+            f"(condition estimate {cond:.3e})"
+        )
+    return z
+
+
+def value_functions(
+    mdp: Mdp, policy: TabularPolicy, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-mean state values, action values, and advantages.
+
+    ``v = (Z - e d) r_pi`` accumulates ``r - eta`` along discounted paths,
+    so ``d @ v = 0`` exactly.  ``q(s, a) = r(s, a) - eta + g * P(.|s,a) v``
+    and ``adv = q - v`` with the stored ``v``, so the advantage identity is
+    exact as computed.
+    """
+    g = _check_gamma(gamma)
+    _check_compatible(mdp, policy)
+    d = stationary_distribution(mdp, policy).probs
+    r_pi = induced_reward(mdp, policy)
+    eta = float(d @ r_pi)
+    z = fundamental_matrix(mdp, policy, g)
+    n = mdp.n_states
+    v = (z - np.outer(np.ones(n), d)) @ r_pi
+    q = mdp.reward - eta + g * (mdp.transition @ v)
+    adv = q - v[:, None]
+    return v, q, adv
+
+
+def mean_first_passage(mdp: Mdp, policy: TabularPolicy) -> np.ndarray:
+    """Mean first passage times ``M[s, s']`` of the induced chain.
+
+    Diagonal entries are mean recurrence times ``1 / d(s)``.  Computed from
+    the discount-one fundamental matrix as ``M = (I - Z + E Z_dg) D`` with
+    ``D = diag(1 / d)``; satisfies ``M = P (M - D) + E``.
+    """
+    z = fundamental_matrix(mdp, policy, 1.0)
+    d = stationary_distribution(mdp, policy).probs
+    if d.min() <= 0.0:
+        raise NotErgodicError("mean first passage needs strictly positive stationary mass")
+    n = z.shape[0]
+    e = np.ones((n, n))
+    m = (np.eye(n) - z + e @ np.diag(np.diag(z))) @ np.diag(1.0 / d)
+    return m
+
+
+def kemeny_constant(mdp: Mdp, policy: TabularPolicy) -> float:
+    """Kemeny's constant: expected passage time to a stationary target.
+
+    ``sum_s' d(s') M[s, s']`` does not depend on the source row; the shared
+    value also equals ``trace(Z)`` at discount one.  Both facts are checked
+    to ``IDENTITY_ATOL`` before returning.
+    """
+    m = mean_first_passage(mdp, policy)
+    d = stationary_distribution(mdp, policy).probs
+    rows = m @ d
+    spread = float(rows.max() - rows.min())
+    if spread > IDENTITY_ATOL:
+        raise NumericalConditioningError(
+            f"Kemeny row values differ by {spread:.3e}; chain too ill-conditioned"
+        )
+    value = float(rows.mean())
+    trace = float(np.trace(fundamental_matrix(mdp, policy, 1.0)))
+    if abs(value - trace) > IDENTITY_ATOL:
+        raise NumericalConditioningError(
+            f"Kemeny value {value!r} disagrees with fundamental-matrix trace {trace!r}"
+        )
+    return value
+
+
+def average_policy_iteration(mdp: Mdp) -> tuple[TabularPolicy, float]:
+    """Howard-style policy iteration on the average-reward criterion.
+
+    Starts from the uniform policy, evaluates at discount one, and improves
+    greedily on ``q(s, a) = r(s, a) - eta + P(.|s,a) v`` with ties broken by
+    the lowest action index.  Intended for MDPs that stay unichain under
+    every deterministic policy encountered; a multichain intermediate policy
+    surfaces as `NotErgodicError`.
+    """
+    s, a = mdp.n_states, mdp.n_actions
+    policy = TabularPolicy(np.full((s, a), 1.0 / a))
+    prev_actions: np.ndarray | None = None
+    cap = 10 * s * a
+    for _ in range(cap):
+        try:
+            v, q, _ = value_functions(mdp, policy, 1.0)
+        except NotErgodicError as exc:
+            raise NotErgodicError(f"non-ergodic intermediate policy: {exc}") from exc
+        eta = average_reward(mdp, policy)
+        greedy = np.argmax(q, axis=1)
+        if prev_actions is not None and np.array_equal(greedy, prev_actions):
+            return policy, eta
+        probs = np.zeros((s, a))
+        probs[np.arange(s), greedy] = 1.0
+        policy = TabularPolicy(probs)
+        prev_actions = greedy
+    raise RuntimeError(f"policy iteration did not settle within {cap} sweeps")
+
+
+@dataclass(frozen=True)
+class PolicyAnalysis:
+    """Everything exact about one (MDP, policy, discount) triple."""
+
+    gamma: float
+    eta_avg: float
+    eta_disc: float
+    d_stat: StateDistribution
+    d_disc: StateDistribution
+    v: np.ndarray
+    q: np.ndarray
+    adv: np.ndarray
+    z: np.ndarray
+    m: np.ndarray
+    kemeny: float
+
+
+def analyze_policy(
+    mdp: Mdp,
+    policy: TabularPolicy,
+    gamma: float,
+    d0: np.ndarray | None = None,
+) -> PolicyAnalysis:
+    g = _check_gamma(gamma)
+    v, q, adv = value_functions(mdp, policy, g)
+    return PolicyAnalysis(
+        gamma=g,
+        eta_avg=average_reward(mdp, policy),
+        eta_disc=discounted_return(mdp, policy, g, d0=d0),
+        d_stat=stationary_distribution(mdp, policy),
+        d_disc=discounted_state_distribution(mdp, policy, g, d0=d0),
+        v=v,
+        q=q,
+        adv=adv,
+        z=fundamental_matrix(mdp, policy, g),
+        m=mean_first_passage(mdp, policy),
+        kemeny=kemeny_constant(mdp, policy),
+    )
+
+
+def analysis_residuals(mdp: Mdp, policy: TabularPolicy, analysis: PolicyAnalysis) -> dict[str, float]:
+    """Self-consistency residuals for a `PolicyAnalysis`, for reports/tests.
+
+    Includes the stationary balance residual, the three fundamental-matrix
+    properties, the passage-time equations, the zero-mean property of the
+    values, and the Kemeny row spread.
+    """
+    p = induced_transition(mdp, policy)
+    g = analysis.gamma
+    d = analysis.d_stat.probs
+    z = analysis.z
+    m = analysis.m
+    n = p.shape[0]
+    e = np.ones(n)
+    ee = np.ones((n, n))
+    dg = np.diag(1.0 / d)
+    rows = m @ d
+    return {
+        "stationary_balance": float(np.max(np.abs(d @ p - d))),
+        "z_row_sums": float(np.max(np.abs(z @ e - e))),
+        "z_stationary": float(np.max(np.abs(d @ z - d))),
+        "z_resolvent": float(
+            np.max(np.abs(z @ (np.eye(n) - g * p) - (np.eye(n) - g * np.outer(e, d))))
+        ),
+        "passage_bellman": float(np.max(np.abs(m - (p @ (m - dg) + ee)))),
+        "value_zero_mean": float(abs(d @ analysis.v)),
+        "kemeny_row_spread": float(rows.max() - rows.min()),
+        "kemeny_trace_gap": float(
+            abs(analysis.kemeny - np.trace(fundamental_matrix(mdp, policy, 1.0)))
+        ),
+    }

@@ -1,0 +1,597 @@
+"""Average-reward PPO (with an average-value constraint) and a PPO baseline.
+
+One iteration of the average-reward path: collect a fixed-length rollout
+from the continuing environment (never reset between iterations), fold the
+batch mean reward into the running average-reward estimate ``eta_hat`` and
+the batch mean value into the running average-value estimate ``b``, form
+differential TD residuals ``r - eta_hat + V(s') - V(s)`` from
+collection-time values, accumulate them into advantages with decay
+``lam``, then run clipped-ratio policy epochs followed by value epochs
+against the frozen targets ``r - eta_hat + V(s') - nu * b``.  The ``nu``
+term is the average-value constraint: without it the value mean is free to
+random-walk because nothing at discount one anchors it.
+
+The baseline path is the same loop with discounted targets
+``r + g V(s')``, residual decay ``g * lam``, and no running estimates.
+Both paths share one parameterized code path, so substituting discounted
+targets and ``nu = 0`` into the average-reward path *is* the baseline.
+
+Randomness: a master seed spawns four child streams via
+``np.random.SeedSequence(seed).spawn(4)`` in the order (environment,
+initialization, sampling, evaluation).  The environment stream is reserved
+for whoever constructs the env (the CLI uses it); `train` consumes the
+other three.  Same seed, same everything, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+
+import numpy as np
+
+from apo.mdp import TabularPolicy
+from apo.nn import (
+    AdamState,
+    MlpParams,
+    backward,
+    clip,
+    const,
+    deterministic_action,
+    exp,
+    init_adam_state,
+    init_mlp,
+    mean,
+    minimum,
+    mul,
+    neg,
+    clip_global_norm,
+    adam_step,
+    policy_log_prob,
+    policy_log_prob_graph,
+    sample_action,
+    square,
+    sub,
+    value_forward,
+    value_graph,
+)
+
+ENV_STREAM, INIT_STREAM, SAMPLE_STREAM, EVAL_STREAM = range(4)
+
+
+class NonFiniteLossError(RuntimeError):
+    """Training diverged; carries the trainer state at the point of failure."""
+
+    def __init__(self, message: str, state: "TrainerState"):
+        super().__init__(message)
+        self.state = state
+
+
+@dataclass
+class TrainConfig:
+    """Hyperparameters; defaults are the small-environment settings."""
+
+    algo: str = "apo"  # "apo" | "ppo"
+    alpha: float = 0.1  # moving-average rate for eta_hat and b
+    beta: float = 3e-4  # Adam learning rate
+    lam: float = 0.9  # residual accumulation decay
+    nu: float = 0.3  # average-value constraint coefficient
+    gamma: float = 0.99  # discount (baseline path only)
+    clip_eps: float = 0.2
+    iterations: int = 100
+    rollout_len: int = 2048
+    epochs: int = 10
+    minibatch: int = 256
+    grad_clip: float = 10.0
+    hidden: tuple[int, ...] = (64, 64)
+    seed: int = 0
+    eval_every: int = 10
+    eval_horizon: int = 1000
+    eval_episodes: int = 10
+
+    def validate(self) -> None:
+        problems = []
+        if self.algo not in ("apo", "ppo"):
+            problems.append(f"algo must be 'apo' or 'ppo', got {self.algo!r}")
+        if not (0.0 < self.alpha <= 1.0):
+            problems.append(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.beta <= 0.0:
+            problems.append(f"beta must be positive, got {self.beta}")
+        if not (0.0 <= self.lam <= 1.0):
+            problems.append(f"lam must be in [0, 1], got {self.lam}")
+        if self.nu < 0.0:
+            problems.append(f"nu must be nonnegative, got {self.nu}")
+        if not (0.0 < self.gamma < 1.0):
+            problems.append(f"gamma must be in (0, 1), got {self.gamma}")
+        if not (0.0 < self.clip_eps < 1.0):
+            problems.append(f"clip_eps must be in (0, 1), got {self.clip_eps}")
+        for name in ("iterations", "rollout_len", "epochs", "minibatch"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be positive")
+        if self.minibatch > self.rollout_len:
+            problems.append("minibatch cannot exceed rollout_len")
+        if self.grad_clip <= 0.0:
+            problems.append(f"grad_clip must be positive, got {self.grad_clip}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "TrainConfig":
+        known = {f.name for f in fields(cls)}
+        unknown = set(payload) - known
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        cfg = replace(cls(), **payload)
+        if isinstance(cfg.hidden, list):
+            cfg.hidden = tuple(cfg.hidden)
+        return cfg
+
+
+@dataclass
+class TrainerState:
+    policy: MlpParams
+    value: MlpParams
+    policy_adam: AdamState
+    value_adam: AdamState
+    eta_hat: float = 0.0
+    b: float = 0.0
+    iteration: int = 0
+
+
+@dataclass
+class RolloutBatch:
+    """One rollout plus everything derived from it for the updates.
+
+    ``value`` and ``next_value`` are collection-time critic outputs; the
+    residuals, advantages, and value targets are all built from these, so
+    later critic updates cannot leak into the targets.
+    """
+
+    obs: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_obs: np.ndarray
+    old_log_prob: np.ndarray
+    value: np.ndarray
+    next_value: np.ndarray
+    td_residual: np.ndarray | None = None
+    advantage: np.ndarray | None = None
+    value_target: np.ndarray | None = None
+
+
+class NeuralActor:
+    """Samples from an MLP policy head one observation at a time."""
+
+    def __init__(self, params: MlpParams):
+        self.params = params
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator):
+        actions, logp = sample_action(self.params, obs[None], rng)
+        action = int(actions[0]) if self.params.head == "categorical" else actions[0]
+        return action, float(logp[0])
+
+
+class TabularActor:
+    """Fixed tabular behavior policy over one-hot observations."""
+
+    def __init__(self, policy: TabularPolicy):
+        self.policy = policy
+        self._cum = np.cumsum(policy.probs, axis=1)
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator):
+        state = int(np.argmax(obs))
+        a = int(np.searchsorted(self._cum[state], rng.random(), side="right"))
+        a = min(a, self.policy.n_actions - 1)
+        return a, float(np.log(self.policy.probs[state, a]))
+
+
+def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
+    """Step the env ``n_steps`` times from its current state (no reset).
+
+    Values for all visited states (including the state after the last step)
+    come from one batched critic pass at the current parameters, so
+    ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
+    """
+    obs = env.observation()
+    obs_dim = obs.shape[0]
+    all_obs = np.empty((n_steps + 1, obs_dim))
+    rewards = np.empty(n_steps)
+    old_logp = np.empty(n_steps)
+    discrete = getattr(env, "discrete", True)
+    if discrete:
+        actions = np.empty(n_steps, dtype=np.int64)
+    else:
+        actions = np.empty((n_steps, env.action_dim))
+    for n in range(n_steps):
+        all_obs[n] = obs
+        action, logp = actor.act(obs, rng)
+        result = env.step(action)
+        actions[n] = action
+        rewards[n] = result.reward
+        old_logp[n] = logp
+        obs = result.next_observation
+    all_obs[n_steps] = obs
+    values = value_forward(value_params, all_obs)
+    return RolloutBatch(
+        obs=all_obs[:-1].copy(),
+        actions=actions,
+        rewards=rewards,
+        next_obs=all_obs[1:].copy(),
+        old_log_prob=old_logp,
+        value=values[:-1].copy(),
+        next_value=values[1:].copy(),
+    )
+
+
+def update_eta_hat(state: TrainerState, batch: RolloutBatch, alpha: float) -> TrainerState:
+    state.eta_hat = (1.0 - alpha) * state.eta_hat + alpha * float(batch.rewards.mean())
+    return state
+
+
+def update_b(state: TrainerState, batch: RolloutBatch, alpha: float) -> TrainerState:
+    state.b = (1.0 - alpha) * state.b + alpha * float(batch.value.mean())
+    return state
+
+
+def compute_residuals_and_advantages(
+    batch: RolloutBatch, eta_hat: float, lam: float, discount: float = 1.0
+) -> RolloutBatch:
+    """Fill ``td_residual`` and ``advantage``.
+
+    Residuals are ``r - eta_hat + discount * V(s') - V(s)``; advantages
+    accumulate them backward with decay ``discount * lam``, truncated at the
+    batch boundary (the final residual already bootstraps through the
+    observed successor value).
+    """
+    delta = batch.rewards - eta_hat + discount * batch.next_value - batch.value
+    decay = discount * lam
+    adv = np.empty_like(delta)
+    acc = 0.0
+    for n in range(delta.shape[0] - 1, -1, -1):
+        acc = delta[n] + decay * acc
+        adv[n] = acc
+    batch.td_residual = delta
+    batch.advantage = adv
+    return batch
+
+
+def compute_value_targets(
+    batch: RolloutBatch, eta_hat: float, b: float, nu: float, discount: float = 1.0
+) -> RolloutBatch:
+    """Frozen regression targets ``r - eta_hat + discount * V(s') - nu * b``."""
+    batch.value_target = batch.rewards - eta_hat + discount * batch.next_value - nu * b
+    return batch
+
+
+def value_loss(
+    value_params: MlpParams,
+    batch: RolloutBatch,
+    eta_hat: float,
+    b: float,
+    nu: float,
+    discount: float = 1.0,
+    indices: np.ndarray | None = None,
+):
+    """Half squared error against the frozen targets; returns (graph, leaves).
+
+    Targets are rebuilt from collection-time batch arrays and the scalars
+    passed in, so repeated calls across epochs see identical targets and the
+    gradient flows only through the current critic output.
+    """
+    targets = batch.rewards - eta_hat + discount * batch.next_value - nu * b
+    idx = slice(None) if indices is None else indices
+    v, leaves = value_graph(value_params, batch.obs[idx])
+    loss = mean(mul(0.5, square(sub(v, const(targets[idx])))))
+    return loss, leaves
+
+
+def policy_loss(
+    policy_params: MlpParams,
+    batch: RolloutBatch,
+    clip_eps: float,
+    indices: np.ndarray | None = None,
+):
+    """Negated clipped-ratio surrogate for minimization; returns (graph, leaves).
+
+    At the collection parameters the ratio is one everywhere and the loss
+    value is minus the mean advantage.
+    """
+    if batch.advantage is None:
+        raise ValueError("advantages not computed; call compute_residuals_and_advantages")
+    idx = slice(None) if indices is None else indices
+    logp, leaves = policy_log_prob_graph(policy_params, batch.obs[idx], batch.actions[idx])
+    ratio = exp(sub(logp, const(batch.old_log_prob[idx])))
+    adv = const(batch.advantage[idx])
+    surr = minimum(mul(ratio, adv), mul(clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv))
+    return neg(mean(surr)), leaves
+
+
+def _algo_terms(config: TrainConfig) -> tuple[float, bool, float]:
+    """(bootstrap discount, whether eta/b run, nu) for the configured path."""
+    if config.algo == "ppo":
+        return config.gamma, False, 0.0
+    return 1.0, True, config.nu
+
+
+def _check_finite(loss_value: float, what: str, state: TrainerState) -> None:
+    if not math.isfinite(loss_value):
+        raise NonFiniteLossError(
+            f"{what} became {loss_value!r} at iteration {state.iteration} "
+            f"(eta_hat={state.eta_hat!r}, b={state.b!r})",
+            state,
+        )
+
+
+def _sgd_epochs(
+    build_loss,
+    params: MlpParams,
+    adam: AdamState,
+    n_samples: int,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    what: str,
+    state: TrainerState,
+) -> None:
+    for _ in range(config.epochs):
+        perm = rng.permutation(n_samples)
+        for start in range(0, n_samples, config.minibatch):
+            idx = perm[start : start + config.minibatch]
+            loss, leaves = build_loss(idx)
+            _check_finite(float(loss.value), what, state)
+            grads = backward(loss, leaves)
+            clip_global_norm(grads, config.grad_clip)
+            adam_step(params, grads, adam, config.beta)
+
+
+@dataclass
+class LogRow:
+    iteration: int
+    env_steps: int
+    eta_hat: float
+    b: float
+    mean_value: float
+    policy_loss: float
+    value_loss: float
+    approx_kl: float
+    eval_avg_reward: float  # nan on iterations without an evaluation
+
+
+LOG_COLUMNS = [f.name for f in fields(LogRow)]
+
+
+@dataclass
+class TrainLog:
+    config: TrainConfig
+    rows: list[LogRow] = field(default_factory=list)
+    state: TrainerState | None = None
+
+    def write_csv(self, path: str | Path) -> None:
+        lines = [
+            f"# algo={self.config.algo} seed={self.config.seed} "
+            "streams=SeedSequence(seed).spawn(4)->(env,init,sample,eval)",
+            ",".join(LOG_COLUMNS),
+        ]
+        for row in self.rows:
+            lines.append(
+                ",".join(
+                    str(getattr(row, c)) if c in ("iteration", "env_steps")
+                    else repr(float(getattr(row, c)))
+                    for c in LOG_COLUMNS
+                )
+            )
+        Path(path).write_text("\n".join(lines) + "\n")
+
+
+def evaluate(env, policy_params: MlpParams, horizon: int, episodes: int, rng) -> float:
+    """Mean reward per step over exploration-free fixed-horizon episodes.
+
+    Each episode resets the given env with the evaluation rng and follows
+    the categorical argmax or the Gaussian mean.
+    """
+    per_episode = np.empty(episodes)
+    for ep in range(episodes):
+        obs = env.reset(rng)
+        total = 0.0
+        for _ in range(horizon):
+            act = deterministic_action(policy_params, obs[None])
+            action = int(act[0]) if policy_params.head == "categorical" else act[0]
+            result = env.step(action)
+            total += result.reward
+            obs = result.next_observation
+        per_episode[ep] = total / horizon
+    return float(per_episode.mean())
+
+
+def init_trainer(env, config: TrainConfig, init_rng: np.random.Generator) -> TrainerState:
+    obs_dim = env.obs_dim
+    if getattr(env, "discrete", True):
+        policy = init_mlp(init_rng, obs_dim, env.n_actions, "categorical", config.hidden)
+    else:
+        policy = init_mlp(init_rng, obs_dim, env.action_dim, "gaussian", config.hidden)
+    value = init_mlp(init_rng, obs_dim, 1, "value", config.hidden)
+    return TrainerState(
+        policy=policy,
+        value=value,
+        policy_adam=init_adam_state(policy),
+        value_adam=init_adam_state(value),
+    )
+
+
+def train(env, config: TrainConfig) -> TrainLog:
+    """Run the configured algorithm on a continuing env; returns the log.
+
+    The env is reset once up front and then runs as a single chain across
+    all iterations.  Evaluations run on an independently spawned copy of the
+    env, so they never disturb that chain.
+    """
+    config.validate()
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    init_rng = np.random.default_rng(streams[INIT_STREAM])
+    sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
+    eval_rng = np.random.default_rng(streams[EVAL_STREAM])
+
+    state = init_trainer(env, config, init_rng)
+    discount, track_averages, nu = _algo_terms(config)
+    eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
+    log = TrainLog(config=config, state=state)
+
+    env.reset()
+    for k in range(1, config.iterations + 1):
+        state.iteration = k
+        actor = NeuralActor(state.policy)
+        batch = collect_rollout(env, actor, state.value, config.rollout_len, sample_rng)
+        if track_averages:
+            update_eta_hat(state, batch, config.alpha)
+            update_b(state, batch, config.alpha)
+        eta = state.eta_hat if track_averages else 0.0
+        b = state.b if track_averages else 0.0
+        compute_residuals_and_advantages(batch, eta, config.lam, discount)
+        compute_value_targets(batch, eta, b, nu, discount)
+
+        _sgd_epochs(
+            lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
+            state.policy,
+            state.policy_adam,
+            config.rollout_len,
+            config,
+            sample_rng,
+            "policy loss",
+            state,
+        )
+        _sgd_epochs(
+            lambda idx: value_loss(state.value, batch, eta, b, nu, discount, idx),
+            state.value,
+            state.value_adam,
+            config.rollout_len,
+            config,
+            sample_rng,
+            "value loss",
+            state,
+        )
+
+        pl, _ = policy_loss(state.policy, batch, config.clip_eps)
+        vl, _ = value_loss(state.value, batch, eta, b, nu, discount)
+        _check_finite(float(pl.value), "policy loss", state)
+        _check_finite(float(vl.value), "value loss", state)
+        new_logp = policy_log_prob(state.policy, batch.obs, batch.actions)
+        approx_kl = float(np.mean(batch.old_log_prob - new_logp))
+
+        eval_reward = float("nan")
+        if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):
+            eval_reward = evaluate(
+                eval_env, state.policy, config.eval_horizon, config.eval_episodes, eval_rng
+            )
+        log.rows.append(
+            LogRow(
+                iteration=k,
+                env_steps=k * config.rollout_len,
+                eta_hat=state.eta_hat,
+                b=state.b,
+                mean_value=float(batch.value.mean()),
+                policy_loss=float(pl.value),
+                value_loss=float(vl.value),
+                approx_kl=approx_kl,
+                eval_avg_reward=eval_reward,
+            )
+        )
+    return log
+
+
+# ---------------------------------------------------------------------------
+# Value-drift experiment (the nu ablation)
+
+
+@dataclass
+class DriftResult:
+    nu: float
+    seed: int
+    b_series: np.ndarray
+    eta_series: np.ndarray
+    final_eval_reward: float
+
+    def mean_abs_b(self, last: int) -> float:
+        return float(np.abs(self.b_series[-last:]).mean())
+
+
+def value_drift_experiment(
+    env,
+    behavior: TabularPolicy,
+    nu: float,
+    iterations: int = 500,
+    rollout_len: int = 256,
+    alpha: float = 0.1,
+    lr: float = 3e-4,
+    epochs: int = 10,
+    minibatch: int = 256,
+    hidden: tuple[int, ...] = (64, 64),
+    grad_clip: float = 10.0,
+    seed: int = 0,
+    eval_horizon: int = 1000,
+    eval_episodes: int = 10,
+) -> DriftResult:
+    """Value-only training under a fixed behavior policy.
+
+    Isolates the average-value drift: the policy never updates, only the
+    critic chases the differential targets.  With ``nu = 0`` nothing anchors
+    the critic mean, so the running average-value estimate ``b`` wanders;
+    larger ``nu`` pulls it back toward zero.  Returns the full ``b`` series
+    plus a deterministic (argmax) evaluation of the behavior policy.
+    """
+    streams = np.random.SeedSequence(seed).spawn(4)
+    init_rng = np.random.default_rng(streams[INIT_STREAM])
+    sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
+    eval_rng = np.random.default_rng(streams[EVAL_STREAM])
+
+    value = init_mlp(init_rng, env.obs_dim, 1, "value", hidden)
+    state = TrainerState(
+        policy=value,  # placeholder; no policy is trained here
+        value=value,
+        policy_adam=init_adam_state(value),
+        value_adam=init_adam_state(value),
+    )
+    actor = TabularActor(behavior)
+    config = TrainConfig(
+        beta=lr, epochs=epochs, minibatch=min(minibatch, rollout_len),
+        rollout_len=rollout_len, grad_clip=grad_clip, hidden=tuple(hidden), seed=seed,
+    )
+    b_series = np.empty(iterations)
+    eta_series = np.empty(iterations)
+    env.reset()
+    for k in range(1, iterations + 1):
+        state.iteration = k
+        batch = collect_rollout(env, actor, value, rollout_len, sample_rng)
+        update_eta_hat(state, batch, alpha)
+        update_b(state, batch, alpha)
+        compute_value_targets(batch, state.eta_hat, state.b, nu, 1.0)
+        _sgd_epochs(
+            lambda idx: value_loss(value, batch, state.eta_hat, state.b, nu, 1.0, idx),
+            value,
+            state.value_adam,
+            rollout_len,
+            config,
+            sample_rng,
+            "value loss",
+            state,
+        )
+        b_series[k - 1] = state.b
+        eta_series[k - 1] = state.eta_hat
+
+    eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
+    greedy = np.argmax(behavior.probs, axis=1)
+    per_episode = np.empty(eval_episodes)
+    for ep in range(eval_episodes):
+        obs = eval_env.reset(eval_rng)
+        total = 0.0
+        for _ in range(eval_horizon):
+            result = eval_env.step(int(greedy[int(np.argmax(obs))]))
+            total += result.reward
+            obs = result.next_observation
+        per_episode[ep] = total / eval_horizon
+    return DriftResult(
+        nu=nu,
+        seed=seed,
+        b_series=b_series,
+        eta_series=eta_series,
+        final_eval_reward=float(per_episode.mean()),
+    )
