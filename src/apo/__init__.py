@@ -5,7 +5,7 @@ works with small finite MDPs and verifies performance-difference bounds
 whose width is controlled by Kemeny's constant of the candidate policy's
 chain.  The learning half (`envs`, `nn`, `training`) trains an
 average-reward PPO variant and a discounted PPO baseline on small native
-environments with a hand-rolled MLP/autodiff/Adam stack.
+environments with a hand-rolled MLP, closed-form gradients and Adam.
 """
 
 from apo.mdp import (

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from apo.mdp import Mdp, TabularPolicy, read_mdp
+from apo.mdp import Mdp, TabularPolicy, read_mdp, sample_index
 
 TWO_LOOP_SHORT = 0
 TWO_LOOP_LONG = 1
@@ -61,7 +61,7 @@ class TabularEnv:
 
     def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
         r = self.rng if rng is None else rng
-        self.state = int(np.searchsorted(self._cum_init, r.random(), side="right"))
+        self.state = sample_index(self._cum_init, r.random())
         return self.observation()
 
     def step(self, action) -> StepResult:
@@ -69,8 +69,7 @@ class TabularEnv:
         if not (0 <= a < self.n_actions):
             raise ValueError(f"action {action!r} outside [0, {self.n_actions})")
         reward = float(self.mdp.reward[self.state, a])
-        u = self.rng.random()
-        self.state = int(np.searchsorted(self._cum[self.state, a], u, side="right"))
+        self.state = sample_index(self._cum[self.state, a], self.rng.random())
         return StepResult(self.observation(), reward, {"state": self.state})
 
 
@@ -163,16 +162,6 @@ def switch_policy(p_swap_0: float, p_swap_1: float) -> TabularPolicy:
     return TabularPolicy(
         np.array([[1.0 - p_swap_0, p_swap_0], [1.0 - p_swap_1, p_swap_1]])
     )
-
-
-def tabular_env(mdp: Mdp, rng: np.random.Generator) -> TabularEnv:
-    """Environment handle over a finite MDP with one-hot observations."""
-    return TabularEnv(mdp, rng)
-
-
-def make_pendulum(rng: np.random.Generator) -> PendulumEnv:
-    """Environment handle for the torque-limited pendulum."""
-    return PendulumEnv(rng)
 
 
 def make_env(name: str, rng: np.random.Generator):

@@ -270,6 +270,15 @@ def random_policy(rng: np.random.Generator, n_states: int, n_actions: int) -> Ta
     return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
 
 
+def sample_index(cum: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw: the first index whose cumulative probability exceeds ``u``.
+
+    Rounding can leave the last entry of ``cum`` just below one, so a draw at
+    or above it is clamped to the last index instead of running off the end.
+    """
+    return min(int(np.searchsorted(cum, u, side="right")), cum.shape[0] - 1)
+
+
 class PolicyDistance(NamedTuple):
     tv: np.ndarray
     expected_tv: float

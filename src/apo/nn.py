@@ -1,21 +1,22 @@
-"""Minimal MLP function approximation with reverse-mode gradients.
+"""Minimal tanh MLP function approximation with closed-form gradients.
 
 Everything is float64 numpy.  Networks are dicts of named tensors wrapped in
 `MlpParams`; hidden layers use tanh.  Three heads: a scalar value head, a
 Gaussian policy head (state-dependent mean plus one learnable
 state-independent log-std vector), and a categorical logits head.
 
-Losses are built as explicit graphs of `Node` objects over a fixed primitive
-vocabulary (affine pieces, tanh, log, exp, square, minimum, clip, sums,
-mean, reshape, gather).  `backward` walks the graph in reverse topological
-order and accumulates exact vector-Jacobian products; `minimum` and `clip`
-propagate the sub-gradient of the selected branch.  Any node whose op is
-not in the vocabulary makes `backward` fail loudly.
+There is one forward pass.  `mlp_forward` can keep the input of every affine
+layer, and `backward` turns an upstream gradient of the network output into
+the gradient of every tensor in closed form.  The log-probabilities of both
+policy heads come from one function of the network output, which rollouts,
+losses and diagnostics share, so a log-probability recorded during rollout
+collection is the value the loss reproduces at the collection parameters.
+`value_vjp` and `policy_log_prob_vjp` pair a forward pass with the
+vector-Jacobian product that reuses its cached terms.
 
-The plain (graph-free) forward helpers below compute the same arithmetic in
-the same order as their graph twins, so a log-probability recorded during
-rollout collection matches the value the loss graph reproduces at the
-collection parameters.
+Gradient dicts hold their keys in ``params.tensors`` order, and no returned
+array aliases a parameter, a cached activation or another gradient, so
+`clip_global_norm` may scale them in place.
 """
 
 from __future__ import annotations
@@ -26,255 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
+from apo.mdp import sample_index
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Autodiff graph
-
-
-class Node:
-    """One value in a loss graph; holds the forward result and its parents."""
-
-    __slots__ = ("value", "op", "inputs", "aux")
-
-    def __init__(self, value, op: str, inputs: tuple = (), aux=None):
-        self.value = value
-        self.op = op
-        self.inputs = inputs
-        self.aux = aux
-
-
-def leaf(name: str, value: np.ndarray) -> Node:
-    return Node(np.asarray(value, dtype=np.float64), "leaf", aux=name)
-
-
-def const(value) -> Node:
-    return Node(np.asarray(value, dtype=np.float64), "const")
-
-
-def _as_node(x) -> Node:
-    return x if isinstance(x, Node) else const(x)
-
-
-def matmul(a: Node, b: Node) -> Node:
-    return Node(a.value @ b.value, "matmul", (a, b))
-
-
-def add(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    return Node(a.value + b.value, "add", (a, b))
-
-
-def sub(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    return Node(a.value - b.value, "sub", (a, b))
-
-
-def mul(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    return Node(a.value * b.value, "mul", (a, b))
-
-
-def neg(a: Node) -> Node:
-    return Node(-a.value, "neg", (a,))
-
-
-def tanh(a: Node) -> Node:
-    return Node(np.tanh(a.value), "tanh", (a,))
-
-
-def exp(a: Node) -> Node:
-    return Node(np.exp(a.value), "exp", (a,))
-
-
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), "log", (a,))
-
-
-def square(a: Node) -> Node:
-    return Node(np.square(a.value), "square", (a,))
-
-
-def minimum(a: Node, b: Node) -> Node:
-    return Node(np.minimum(a.value, b.value), "minimum", (a, b))
-
-
-def clip(a: Node, lo: float, hi: float) -> Node:
-    return Node(np.clip(a.value, lo, hi), "clip", (a,), aux=(lo, hi))
-
-
-def reduce_sum(a: Node, axis: int | None = None) -> Node:
-    return Node(np.sum(a.value, axis=axis), "sum", (a,), aux=axis)
-
-
-def mean(a: Node) -> Node:
-    return Node(np.mean(a.value), "mean", (a,))
-
-
-def reshape(a: Node, shape: tuple) -> Node:
-    return Node(a.value.reshape(shape), "reshape", (a,))
-
-
-def select(a: Node, indices: np.ndarray) -> Node:
-    """Per-row gather: out[n] = a[n, indices[n]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return Node(a.value[np.arange(idx.shape[0]), idx], "select", (a,), aux=idx)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape it was broadcast from."""
-    g = grad
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _vjp_matmul(node, g):
-    a, b = node.inputs
-    return (g @ b.value.T, a.value.T @ g)
-
-
-def _vjp_add(node, g):
-    a, b = node.inputs
-    return (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape))
-
-
-def _vjp_sub(node, g):
-    a, b = node.inputs
-    return (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape))
-
-
-def _vjp_mul(node, g):
-    a, b = node.inputs
-    return (
-        _unbroadcast(g * b.value, a.value.shape),
-        _unbroadcast(g * a.value, b.value.shape),
-    )
-
-
-def _vjp_neg(node, g):
-    return (-g,)
-
-
-def _vjp_tanh(node, g):
-    return (g * (1.0 - np.square(node.value)),)
-
-
-def _vjp_exp(node, g):
-    return (g * node.value,)
-
-
-def _vjp_log(node, g):
-    return (g / node.inputs[0].value,)
-
-
-def _vjp_square(node, g):
-    return (g * 2.0 * node.inputs[0].value,)
-
-
-def _vjp_minimum(node, g):
-    a, b = node.inputs
-    take_a = a.value <= b.value
-    return (g * take_a, g * ~take_a)
-
-
-def _vjp_clip(node, g):
-    lo, hi = node.aux
-    x = node.inputs[0].value
-    inside = (x >= lo) & (x <= hi)
-    return (g * inside,)
-
-
-def _vjp_sum(node, g):
-    x = node.inputs[0].value
-    axis = node.aux
-    if axis is None:
-        return (np.broadcast_to(g, x.shape).copy(),)
-    return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-
-def _vjp_mean(node, g):
-    x = node.inputs[0].value
-    return (np.broadcast_to(g / x.size, x.shape).copy(),)
-
-
-def _vjp_reshape(node, g):
-    return (g.reshape(node.inputs[0].value.shape),)
-
-
-def _vjp_select(node, g):
-    x = node.inputs[0].value
-    out = np.zeros_like(x)
-    np.add.at(out, (np.arange(node.aux.shape[0]), node.aux), g)
-    return (out,)
-
-
-_VJPS = {
-    "matmul": _vjp_matmul,
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "neg": _vjp_neg,
-    "tanh": _vjp_tanh,
-    "exp": _vjp_exp,
-    "log": _vjp_log,
-    "square": _vjp_square,
-    "minimum": _vjp_minimum,
-    "clip": _vjp_clip,
-    "sum": _vjp_sum,
-    "mean": _vjp_mean,
-    "reshape": _vjp_reshape,
-    "select": _vjp_select,
-}
-
-
-def backward(root: Node, leaves: dict[str, Node]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar ``root`` with respect to every named leaf.
-
-    Leaves that do not feed the root get zero gradients of their shape.
-    Raises on a non-scalar root or on any op outside the vocabulary.
-    """
-    if np.ndim(root.value) != 0 and np.size(root.value) != 1:
-        raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.inputs:
-            stack.append((parent, False))
-
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(np.asarray(root.value))}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node.op in ("leaf", "const"):
-            continue
-        vjp = _VJPS.get(node.op)
-        if vjp is None:
-            raise ValueError(f"unsupported primitive {node.op!r} in loss graph")
-        for parent, pg in zip(node.inputs, vjp(node, g)):
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
-    out = {}
-    for name, node in leaves.items():
-        g = grads.get(id(node))
-        out[name] = np.zeros_like(node.value) if g is None else np.asarray(g)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# MLP parameters and forward passes
+# MLP parameters, forward and backward passes
 
 
 @dataclass
@@ -315,23 +74,53 @@ def init_mlp(
     return params
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+def mlp_forward(params: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Network output for a batch of inputs, shape (B, out_dim).
+
+    If ``acts`` is a list, the input of every affine layer (the batch, then
+    each tanh output) is appended to it for `backward`.
+    """
     h = np.asarray(x, dtype=np.float64)
     last = len(params.hidden)
     for i in range(last):
+        if acts is not None:
+            acts.append(h)
         h = np.tanh(h @ params.tensors[f"w{i}"] + params.tensors[f"b{i}"])
+    if acts is not None:
+        acts.append(h)
     return h @ params.tensors[f"w{last}"] + params.tensors[f"b{last}"]
 
 
-def mlp_graph(params: MlpParams, x: np.ndarray) -> tuple[Node, dict[str, Node]]:
-    """Graph twin of `mlp_forward`; returns the output node and all leaves."""
-    leaves = {name: leaf(name, value) for name, value in params.tensors.items()}
-    h: Node = const(np.asarray(x, dtype=np.float64))
+def backward(
+    params: MlpParams,
+    acts: list,
+    g_out: np.ndarray,
+    log_std_grad: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Gradient of ``sum(g_out * out)`` with respect to every tensor.
+
+    ``acts`` are the layer inputs `mlp_forward` kept for the same batch.
+    ``log_std_grad`` is the Gaussian head's log-std gradient, which the
+    network body does not see; it is passed through (zeros when omitted) so
+    that the returned dict holds every tensor, in ``params.tensors`` order.
+    """
     last = len(params.hidden)
-    for i in range(last):
-        h = tanh(add(matmul(h, leaves[f"w{i}"]), leaves[f"b{i}"]))
-    out = add(matmul(h, leaves[f"w{last}"]), leaves[f"b{last}"])
-    return out, leaves
+    if len(acts) != last + 1 or g_out.shape != (acts[0].shape[0], params.out_dim):
+        raise ValueError(
+            f"backward needs {last + 1} layer inputs and an upstream gradient of shape "
+            f"(batch, {params.out_dim}); got {len(acts)} and {g_out.shape}"
+        )
+    grads: dict[str, np.ndarray] = {}
+    g = g_out
+    for i in range(last, -1, -1):
+        h = acts[i]
+        grads[f"w{i}"] = h.T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ params.tensors[f"w{i}"].T) * (1.0 - np.square(h))
+    if params.head == "gaussian":
+        grads["log_std"] = np.zeros(params.out_dim) if log_std_grad is None else log_std_grad
+    return {name: grads[name] for name in params.tensors}
 
 
 def value_forward(params: MlpParams, obs: np.ndarray) -> np.ndarray:
@@ -341,9 +130,60 @@ def value_forward(params: MlpParams, obs: np.ndarray) -> np.ndarray:
     return mlp_forward(params, obs)[:, 0]
 
 
-def value_graph(params: MlpParams, obs: np.ndarray) -> tuple[Node, dict[str, Node]]:
-    out, leaves = mlp_graph(params, obs)
-    return reshape(out, (obs.shape[0],)), leaves
+def value_vjp(params: MlpParams, obs: np.ndarray):
+    """Values for a batch plus their vector-Jacobian product.
+
+    Returns ``(values, vjp)``; ``vjp(g)`` is the gradient of
+    ``sum(g * values)`` with respect to every tensor.
+    """
+    if params.head != "value":
+        raise ValueError(f"value_vjp needs a value head, got {params.head!r}")
+    acts: list = []
+    out = mlp_forward(params, obs, acts)
+    return out[:, 0], lambda g: backward(params, acts, g.reshape(out.shape))
+
+
+def _softmax_terms(logits: np.ndarray):
+    """Shifted exponentials, their row sums, and every action's log-probability."""
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = np.sum(e, axis=1)
+    return e, s, logits - (np.log(s) + m[:, 0])[:, None]
+
+
+def _log_prob(params: MlpParams, out: np.ndarray, actions: np.ndarray):
+    """Log-probabilities from the network output (logits or Gaussian mean).
+
+    Returns ``(logp, terms)``; ``terms`` are what `_log_prob_grad` reuses.
+    """
+    if params.head == "categorical":
+        e, s, logp_all = _softmax_terms(out)
+        rows = np.arange(out.shape[0])
+        idx = np.asarray(actions, dtype=np.int64)
+        return logp_all[rows, idx], (rows, idx, e, s)
+    if params.head == "gaussian":
+        log_std = params.tensors["log_std"]
+        diff = np.asarray(actions, dtype=np.float64).reshape(out.shape) - out
+        inv_std = np.exp(-log_std)
+        z = diff * inv_std
+        half_sq = (-0.5) * np.sum(np.square(z), axis=1)
+        return half_sq - (np.sum(log_std) + 0.5 * params.out_dim * LOG_2PI), (diff, inv_std, z)
+    raise ValueError(f"head {params.head!r} has no log-probabilities")
+
+
+def _log_prob_grad(params: MlpParams, terms, g: np.ndarray):
+    """Gradients of ``sum(g * logp)`` with respect to the network output and,
+    for the Gaussian head, the log-std; ``None`` for a categorical head."""
+    if params.head == "categorical":
+        rows, idx, e, s = terms
+        g_out = ((-g) / s)[:, None] * e
+        g_out[rows, idx] += g
+        return g_out, None
+    diff, inv_std, z = terms
+    g_z = (-g)[:, None] * z
+    g_out = -(g_z * inv_std)
+    g_log_std = np.full(inv_std.shape, (-g).sum(axis=0)) - ((g_z * diff).sum(axis=0) * inv_std)
+    return g_out, g_log_std
 
 
 def policy_forward(params: MlpParams, obs: np.ndarray):
@@ -354,11 +194,8 @@ def policy_forward(params: MlpParams, obs: np.ndarray):
     across the batch.
     """
     if params.head == "categorical":
-        logits = mlp_forward(params, obs)
-        m = logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits - m)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs
+        e, s, _ = _softmax_terms(mlp_forward(params, obs))
+        return e / s[:, None]
     if params.head == "gaussian":
         return mlp_forward(params, obs), np.exp(params.tensors["log_std"])
     raise ValueError(f"head {params.head!r} is not a policy head")
@@ -366,62 +203,50 @@ def policy_forward(params: MlpParams, obs: np.ndarray):
 
 def policy_log_prob(params: MlpParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Log-probabilities of a batch of actions, shape (B,)."""
-    if params.head == "categorical":
-        logits = mlp_forward(params, obs)
-        m = logits.max(axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(logits - m), axis=1)) + m[:, 0]
-        idx = np.asarray(actions, dtype=np.int64)
-        return logits[np.arange(idx.shape[0]), idx] - lse
-    if params.head == "gaussian":
-        mu = mlp_forward(params, obs)
-        log_std = params.tensors["log_std"]
-        acts = np.asarray(actions, dtype=np.float64).reshape(mu.shape)
-        z = (acts - mu) * np.exp(-log_std)
-        half_sq = (-0.5) * np.sum(np.square(z), axis=1)
-        return half_sq - (np.sum(log_std) + 0.5 * params.out_dim * LOG_2PI)
-    raise ValueError(f"head {params.head!r} has no log-probabilities")
+    return _log_prob(params, mlp_forward(params, obs), actions)[0]
 
 
-def policy_log_prob_graph(
-    params: MlpParams, obs: np.ndarray, actions: np.ndarray
-) -> tuple[Node, dict[str, Node]]:
-    """Graph twin of `policy_log_prob`, same arithmetic order."""
-    if params.head == "categorical":
-        logits, leaves = mlp_graph(params, obs)
-        m = logits.value.max(axis=1, keepdims=True)
-        lse = add(log(reduce_sum(exp(sub(logits, const(m))), axis=1)), const(m[:, 0]))
-        logp = sub(select(logits, np.asarray(actions, dtype=np.int64)), lse)
-        return logp, leaves
-    if params.head == "gaussian":
-        mu, leaves = mlp_graph(params, obs)
-        log_std = leaves["log_std"]
-        acts = np.asarray(actions, dtype=np.float64).reshape(mu.value.shape)
-        z = mul(sub(const(acts), mu), exp(neg(log_std)))
-        half_sq = mul(-0.5, reduce_sum(square(z), axis=1))
-        offset = add(reduce_sum(log_std), const(0.5 * params.out_dim * LOG_2PI))
-        return sub(half_sq, offset), leaves
-    raise ValueError(f"head {params.head!r} has no log-probabilities")
+def policy_log_prob_vjp(params: MlpParams, obs: np.ndarray, actions: np.ndarray):
+    """Log-probabilities of a batch of actions plus their vector-Jacobian product.
+
+    Returns ``(logp, vjp)``; ``vjp(g)`` is the gradient of ``sum(g * logp)``
+    with respect to every tensor.
+    """
+    acts: list = []
+    logp, terms = _log_prob(params, mlp_forward(params, obs, acts), actions)
+
+    def vjp(g: np.ndarray) -> dict[str, np.ndarray]:
+        g_out, g_log_std = _log_prob_grad(params, terms, g)
+        return backward(params, acts, g_out, g_log_std)
+
+    return logp, vjp
+
+
+def categorical_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative probabilities and log-probabilities of every action, row by
+    row: what `sample_action` draws from and what it returns."""
+    e, s, logp_all = _softmax_terms(logits)
+    return np.cumsum(e / s[:, None], axis=1), logp_all
 
 
 def sample_action(
     params: MlpParams, obs: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample actions for a batch of observations; returns (actions, log_probs)."""
+    """Sample actions for a batch of observations; returns (actions, log_probs).
+
+    One forward pass serves both: the log-probabilities come from the logits
+    or mean that the draw used.
+    """
+    out = mlp_forward(params, obs)
     if params.head == "categorical":
-        logits = mlp_forward(params, obs)
-        m = logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits - m)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        u = rng.random(obs.shape[0])
-        actions = np.argmax(cum > u[:, None], axis=1)
-        return actions, policy_log_prob(params, obs, actions)
-    if params.head == "gaussian":
-        mu = mlp_forward(params, obs)
-        std = np.exp(params.tensors["log_std"])
-        actions = mu + std * rng.standard_normal(mu.shape)
-        return actions, policy_log_prob(params, obs, actions)
-    raise ValueError(f"head {params.head!r} cannot sample actions")
+        cum, _ = categorical_rows(out)
+        u = rng.random(out.shape[0])
+        actions = np.array([sample_index(row, x) for row, x in zip(cum, u)], dtype=np.int64)
+    elif params.head == "gaussian":
+        actions = out + np.exp(params.tensors["log_std"]) * rng.standard_normal(out.shape)
+    else:
+        raise ValueError(f"head {params.head!r} cannot sample actions")
+    return actions, _log_prob(params, out, actions)[0]
 
 
 def deterministic_action(params: MlpParams, obs: np.ndarray) -> np.ndarray:

@@ -31,30 +31,23 @@ from pathlib import Path
 
 import numpy as np
 
-from apo.mdp import TabularPolicy
+from apo.envs import TabularEnv
+from apo.mdp import TabularPolicy, sample_index
 from apo.nn import (
     AdamState,
     MlpParams,
-    backward,
-    clip,
-    const,
+    adam_step,
+    categorical_rows,
+    clip_global_norm,
     deterministic_action,
-    exp,
     init_adam_state,
     init_mlp,
-    mean,
-    minimum,
-    mul,
-    neg,
-    clip_global_norm,
-    adam_step,
+    mlp_forward,
     policy_log_prob,
-    policy_log_prob_graph,
+    policy_log_prob_vjp,
     sample_action,
-    square,
-    sub,
     value_forward,
-    value_graph,
+    value_vjp,
 )
 
 ENV_STREAM, INIT_STREAM, SAMPLE_STREAM, EVAL_STREAM = range(4)
@@ -144,8 +137,8 @@ class RolloutBatch:
     """One rollout plus everything derived from it for the updates.
 
     ``value`` and ``next_value`` are collection-time critic outputs; the
-    residuals, advantages, and value targets are all built from these, so
-    later critic updates cannot leak into the targets.
+    residuals, advantages, and the value loss's targets are all built from
+    these, so later critic updates cannot leak into the targets.
     """
 
     obs: np.ndarray
@@ -157,7 +150,6 @@ class RolloutBatch:
     next_value: np.ndarray
     td_residual: np.ndarray | None = None
     advantage: np.ndarray | None = None
-    value_target: np.ndarray | None = None
 
 
 class NeuralActor:
@@ -181,18 +173,53 @@ class TabularActor:
 
     def act(self, obs: np.ndarray, rng: np.random.Generator):
         state = int(np.argmax(obs))
-        a = int(np.searchsorted(self._cum[state], rng.random(), side="right"))
-        a = min(a, self.policy.n_actions - 1)
+        a = sample_index(self._cum[state], rng.random())
         return a, float(np.log(self.policy.probs[state, a]))
+
+
+class _PolicyTable:
+    """Per-state rows of a frozen categorical policy on a `TabularEnv`.
+
+    A state's row (cumulative probabilities, log-probabilities and argmax of
+    every action) is built on the first visit, from the same (1, S) forward
+    on the env's one-hot row that the per-step path runs, so draws,
+    log-probabilities and greedy actions match that path bit for bit.  A
+    batched forward over all S one-hot rows differs in the last ulp, so it
+    is not used.  Valid only while the parameters do not change.
+    """
+
+    def __init__(self, params: MlpParams, env: TabularEnv):
+        self.params = params
+        self.env = env
+        self.rows: list = [None] * env.obs_dim
+
+    def row(self) -> tuple[np.ndarray, np.ndarray, int]:
+        state = self.env.state
+        row = self.rows[state]
+        if row is None:
+            logits = mlp_forward(self.params, self.env.observation()[None])
+            cum, logp = categorical_rows(logits)
+            row = self.rows[state] = (cum[0], logp[0], int(np.argmax(logits[0])))
+        return row
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator):
+        cum, logp, _ = self.row()
+        a = sample_index(cum, rng.random())
+        return a, float(logp[a])
 
 
 def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
     """Step the env ``n_steps`` times from its current state (no reset).
 
-    Values for all visited states (including the state after the last step)
-    come from one batched critic pass at the current parameters, so
-    ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
+    A neural actor on a `TabularEnv` acts through a `_PolicyTable` built for
+    this call, since the parameters are frozen while it runs.  Values for
+    all visited states (including the state after the last step) come from
+    one batched critic pass at the current parameters, so ``next_value[n]``
+    is exactly ``value[n + 1]`` for all but the last entry.
     """
+    act = actor.act
+    if isinstance(env, TabularEnv) and isinstance(actor, NeuralActor):
+        act = _PolicyTable(actor.params, env).act
     obs = env.observation()
     obs_dim = obs.shape[0]
     all_obs = np.empty((n_steps + 1, obs_dim))
@@ -205,7 +232,7 @@ def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> R
         actions = np.empty((n_steps, env.action_dim))
     for n in range(n_steps):
         all_obs[n] = obs
-        action, logp = actor.act(obs, rng)
+        action, logp = act(obs, rng)
         result = env.step(action)
         actions[n] = action
         rewards[n] = result.reward
@@ -256,12 +283,38 @@ def compute_residuals_and_advantages(
     return batch
 
 
-def compute_value_targets(
-    batch: RolloutBatch, eta_hat: float, b: float, nu: float, discount: float = 1.0
-) -> RolloutBatch:
+def _value_targets(
+    batch: RolloutBatch, eta_hat: float, b: float, nu: float, discount: float
+) -> np.ndarray:
     """Frozen regression targets ``r - eta_hat + discount * V(s') - nu * b``."""
-    batch.value_target = batch.rewards - eta_hat + discount * batch.next_value - nu * b
-    return batch
+    return batch.rewards - eta_hat + discount * batch.next_value - nu * b
+
+
+def _half_squared_error(v: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """``mean(0.5 * (v - targets)^2)`` and its gradient with respect to ``v``."""
+    err = v - targets
+    return float(np.mean(0.5 * np.square(err))), (1.0 / err.size) * err
+
+
+def _clipped_surrogate(
+    logp: np.ndarray, old_logp: np.ndarray, adv: np.ndarray, clip_eps: float
+) -> tuple[float, np.ndarray]:
+    """Negated mean clipped-ratio surrogate and its gradient with respect to ``logp``.
+
+    Where the two branches of the minimum tie, the gradient follows the
+    unclipped one; the clipped branch passes gradient only inside the clip
+    range.
+    """
+    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    ratio = np.exp(logp - old_logp)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    take_unclipped = unclipped <= clipped
+    loss = -np.mean(np.minimum(unclipped, clipped))
+    g = -1.0 / logp.size
+    inside = (ratio >= lo) & (ratio <= hi)
+    g_ratio = (g * take_unclipped) * adv + ((g * ~take_unclipped) * adv) * inside
+    return float(loss), g_ratio * ratio
 
 
 def value_loss(
@@ -273,17 +326,17 @@ def value_loss(
     discount: float = 1.0,
     indices: np.ndarray | None = None,
 ):
-    """Half squared error against the frozen targets; returns (graph, leaves).
+    """Half squared error against the frozen targets; returns (loss, grads).
 
     Targets are rebuilt from collection-time batch arrays and the scalars
     passed in, so repeated calls across epochs see identical targets and the
     gradient flows only through the current critic output.
     """
-    targets = batch.rewards - eta_hat + discount * batch.next_value - nu * b
+    targets = _value_targets(batch, eta_hat, b, nu, discount)
     idx = slice(None) if indices is None else indices
-    v, leaves = value_graph(value_params, batch.obs[idx])
-    loss = mean(mul(0.5, square(sub(v, const(targets[idx])))))
-    return loss, leaves
+    v, vjp = value_vjp(value_params, batch.obs[idx])
+    loss, g = _half_squared_error(v, targets[idx])
+    return loss, vjp(g)
 
 
 def policy_loss(
@@ -292,7 +345,7 @@ def policy_loss(
     clip_eps: float,
     indices: np.ndarray | None = None,
 ):
-    """Negated clipped-ratio surrogate for minimization; returns (graph, leaves).
+    """Negated clipped-ratio surrogate for minimization; returns (loss, grads).
 
     At the collection parameters the ratio is one everywhere and the loss
     value is minus the mean advantage.
@@ -300,11 +353,11 @@ def policy_loss(
     if batch.advantage is None:
         raise ValueError("advantages not computed; call compute_residuals_and_advantages")
     idx = slice(None) if indices is None else indices
-    logp, leaves = policy_log_prob_graph(policy_params, batch.obs[idx], batch.actions[idx])
-    ratio = exp(sub(logp, const(batch.old_log_prob[idx])))
-    adv = const(batch.advantage[idx])
-    surr = minimum(mul(ratio, adv), mul(clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv))
-    return neg(mean(surr)), leaves
+    logp, vjp = policy_log_prob_vjp(policy_params, batch.obs[idx], batch.actions[idx])
+    loss, g = _clipped_surrogate(
+        logp, batch.old_log_prob[idx], batch.advantage[idx], clip_eps
+    )
+    return loss, vjp(g)
 
 
 def _algo_terms(config: TrainConfig) -> tuple[float, bool, float]:
@@ -337,9 +390,8 @@ def _sgd_epochs(
         perm = rng.permutation(n_samples)
         for start in range(0, n_samples, config.minibatch):
             idx = perm[start : start + config.minibatch]
-            loss, leaves = build_loss(idx)
-            _check_finite(float(loss.value), what, state)
-            grads = backward(loss, leaves)
+            loss, grads = build_loss(idx)
+            _check_finite(loss, what, state)
             clip_global_norm(grads, config.grad_clip)
             adam_step(params, grads, adam, config.beta)
 
@@ -387,15 +439,20 @@ def evaluate(env, policy_params: MlpParams, horizon: int, episodes: int, rng) ->
     """Mean reward per step over exploration-free fixed-horizon episodes.
 
     Each episode resets the given env with the evaluation rng and follows
-    the categorical argmax or the Gaussian mean.
+    the categorical argmax or the Gaussian mean.  On a `TabularEnv` the
+    argmax comes from a `_PolicyTable`, one forward per visited state.
     """
+    table = _PolicyTable(policy_params, env) if isinstance(env, TabularEnv) else None
     per_episode = np.empty(episodes)
     for ep in range(episodes):
         obs = env.reset(rng)
         total = 0.0
         for _ in range(horizon):
-            act = deterministic_action(policy_params, obs[None])
-            action = int(act[0]) if policy_params.head == "categorical" else act[0]
+            if table is not None:
+                action = table.row()[2]
+            else:
+                act = deterministic_action(policy_params, obs[None])
+                action = int(act[0]) if policy_params.head == "categorical" else act[0]
             result = env.step(action)
             total += result.reward
             obs = result.next_observation
@@ -447,7 +504,6 @@ def train(env, config: TrainConfig) -> TrainLog:
         eta = state.eta_hat if track_averages else 0.0
         b = state.b if track_averages else 0.0
         compute_residuals_and_advantages(batch, eta, config.lam, discount)
-        compute_value_targets(batch, eta, b, nu, discount)
 
         _sgd_epochs(
             lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
@@ -470,11 +526,17 @@ def train(env, config: TrainConfig) -> TrainLog:
             state,
         )
 
-        pl, _ = policy_loss(state.policy, batch, config.clip_eps)
-        vl, _ = value_loss(state.value, batch, eta, b, nu, discount)
-        _check_finite(float(pl.value), "policy loss", state)
-        _check_finite(float(vl.value), "value loss", state)
+        # one forward per network over the whole batch serves the logged
+        # losses and the approximate KL
         new_logp = policy_log_prob(state.policy, batch.obs, batch.actions)
+        pl, _ = _clipped_surrogate(
+            new_logp, batch.old_log_prob, batch.advantage, config.clip_eps
+        )
+        vl, _ = _half_squared_error(
+            value_forward(state.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
+        )
+        _check_finite(pl, "policy loss", state)
+        _check_finite(vl, "value loss", state)
         approx_kl = float(np.mean(batch.old_log_prob - new_logp))
 
         eval_reward = float("nan")
@@ -489,8 +551,8 @@ def train(env, config: TrainConfig) -> TrainLog:
                 eta_hat=state.eta_hat,
                 b=state.b,
                 mean_value=float(batch.value.mean()),
-                policy_loss=float(pl.value),
-                value_loss=float(vl.value),
+                policy_loss=pl,
+                value_loss=vl,
                 approx_kl=approx_kl,
                 eval_avg_reward=eval_reward,
             )
@@ -563,7 +625,6 @@ def value_drift_experiment(
         batch = collect_rollout(env, actor, value, rollout_len, sample_rng)
         update_eta_hat(state, batch, alpha)
         update_b(state, batch, alpha)
-        compute_value_targets(batch, state.eta_hat, state.b, nu, 1.0)
         _sgd_epochs(
             lambda idx: value_loss(value, batch, state.eta_hat, state.b, nu, 1.0, idx),
             value,

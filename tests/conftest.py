@@ -31,17 +31,22 @@ def deterministic_policy(actions, n_actions):
     return TabularPolicy(probs)
 
 
+class TopRng:
+    """Stub generator whose every uniform draw is the largest double below one."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
 def finite_difference_max_rel_err(build_loss, params, h=1e-5):
-    """Worst per-tensor relative gap between backward() and central differences.
+    """Worst per-tensor relative gap between closed-form and central-difference gradients.
 
-    ``build_loss`` must rebuild the loss graph from the current tensors of
-    ``params`` on every call; the relative error is measured per tensor
-    against the larger of the two gradient norms.
+    ``build_loss`` must return ``(loss, grads)`` computed from the current
+    tensors of ``params`` on every call; the relative error is measured per
+    tensor against the larger of the two gradient norms.
     """
-    from apo.nn import backward
-
-    root, leaves = build_loss()
-    grads = backward(root, leaves)
+    grads = build_loss()[1]
     worst = 0.0
     for name, tensor in params.tensors.items():
         fd = np.zeros_like(tensor)
@@ -50,9 +55,9 @@ def finite_difference_max_rel_err(build_loss, params, h=1e-5):
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = float(build_loss()[0].value)
+            up = float(build_loss()[0])
             tensor[idx] = orig - h
-            down = float(build_loss()[0].value)
+            down = float(build_loss()[0])
             tensor[idx] = orig
             fd[idx] = (up - down) / (2.0 * h)
         scale = max(float(np.max(np.abs(grads[name]))), float(np.max(np.abs(fd))), 1e-8)

@@ -16,13 +16,11 @@ from apo.envs import (
     PendulumEnv,
     TabularEnv,
     make_env,
-    make_pendulum,
     make_two_loop,
     make_two_state,
-    tabular_env,
 )
-from apo.mdp import random_ergodic_mdp, write_mdp
-from tests.conftest import deterministic_policy
+from apo.mdp import Mdp, random_ergodic_mdp, write_mdp
+from tests.conftest import TopRng, deterministic_policy
 
 
 class TestTabularEnv:
@@ -92,6 +90,19 @@ class TestTabularEnv:
                     counts[env.step(a).info["state"]] += 1
                 _, p_value = stats.chisquare(counts, n * mdp.transition[s, a])
                 assert p_value > 1e-6, f"transition row ({s}, {a}) off: p={p_value}"
+
+    def test_draw_above_last_cumulative_stays_in_range(self):
+        # row (0, 0) of this MDP sums to 0.9999999999999998, below the
+        # largest draw, which must land on the last state
+        mdp = random_ergodic_mdp(np.random.default_rng(0), 8, 4)
+        env = TabularEnv(mdp, TopRng())
+        env.state = 0
+        result = env.step(0)
+        assert env.state == 7
+        np.testing.assert_array_equal(result.next_observation, np.eye(8)[7])
+        start = Mdp(transition=mdp.transition, reward=mdp.reward,
+                    init_dist=mdp.transition[0, 0])
+        np.testing.assert_array_equal(TabularEnv(start, TopRng()).reset(), np.eye(8)[7])
 
     def test_spawn_does_not_disturb_parent(self, two_state):
         env_a = TabularEnv(two_state, np.random.default_rng(0))
@@ -245,11 +256,11 @@ class TestMakeEnv:
         assert validate_mdp(mdp).ok
 
     def test_handle_constructors(self):
-        env = tabular_env(make_two_state(), np.random.default_rng(0))
+        env = make_env("twostate", np.random.default_rng(0))
         env.state = 0
         result = env.step(1)
         assert result.info["state"] == 1
-        pend = make_pendulum(np.random.default_rng(1))
+        pend = make_env("pendulum", np.random.default_rng(1))
         pend.reset()
         step = pend.step(0.5)
         assert np.isfinite(step.reward)

@@ -7,83 +7,124 @@ from scipy.special import log_softmax
 from apo.nn import (
     LOG_2PI,
     AdamState,
-    Node,
     adam_step,
     backward,
-    clip,
     clip_global_norm,
-    const,
     deterministic_action,
     init_adam_state,
     init_mlp,
-    leaf,
     load_checkpoint,
-    mean,
-    minimum,
     mlp_forward,
-    mlp_graph,
     policy_forward,
     policy_log_prob,
-    policy_log_prob_graph,
-    reduce_sum,
+    policy_log_prob_vjp,
     sample_action,
     save_checkpoint,
-    select,
-    square,
-    sub,
     value_forward,
-    value_graph,
+    value_vjp,
 )
-from tests.conftest import finite_difference_max_rel_err
+from apo.training import _clipped_surrogate
+from tests.conftest import TopRng, finite_difference_max_rel_err
 
 
 class TestBackward:
     def test_quadratic_closed_form(self):
-        w = leaf("w", np.array([1.0, 2.0, 3.0]))
-        target = const(np.array([0.0, 2.0, 5.0]))
-        loss = mean(square(sub(w, target)))
-        grads = backward(loss, {"w": w})
-        # d/dw mean((w - c)^2) = 2 (w - c) / n
-        np.testing.assert_allclose(grads["w"], 2.0 * np.array([1.0, 0.0, -2.0]) / 3.0, atol=1e-15)
+        # with no hidden layer the network is affine, so the gradient of
+        # mean((out - c)^2) is 2 x^T (out - c) / n for the weights and the
+        # mean residual times two for the bias
+        params = init_mlp(np.random.default_rng(70), 3, 1, "value", hidden=())
+        x = np.random.default_rng(71).normal(size=(4, 3))
+        c = np.random.default_rng(72).normal(size=4)
+        v, vjp = value_vjp(params, x)
+        r = v - c
+        grads = vjp(2.0 * r / 4.0)
+        np.testing.assert_allclose(grads["w0"][:, 0], 2.0 * x.T @ r / 4.0, atol=1e-15)
+        np.testing.assert_allclose(grads["b0"], [2.0 * r.mean()], atol=1e-15)
 
     def test_untouched_leaf_gets_zeros(self):
-        w = leaf("w", np.array([1.0, 2.0]))
-        unused = leaf("u", np.zeros((2, 2)))
-        loss = mean(square(w))
-        grads = backward(loss, {"w": w, "u": unused})
-        assert grads["u"].shape == (2, 2)
-        np.testing.assert_array_equal(grads["u"], np.zeros((2, 2)))
+        # the network body never sees the Gaussian log-std: without a head
+        # gradient it still gets a zero gradient of its shape
+        params = init_mlp(np.random.default_rng(73), 3, 2, "gaussian", hidden=(4,))
+        acts: list = []
+        out = mlp_forward(params, np.random.default_rng(74).normal(size=(5, 3)), acts)
+        grads = backward(params, acts, np.ones_like(out))
+        assert list(grads) == list(params.tensors)
+        np.testing.assert_array_equal(grads["log_std"], np.zeros(2))
+        assert np.abs(grads["w0"]).sum() > 0.0
 
     def test_clip_passes_gradient_only_inside(self):
-        x = leaf("x", np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
-        loss = reduce_sum(clip(x, -0.5, 0.5))
-        grads = backward(loss, {"x": x})
-        np.testing.assert_array_equal(grads["x"], [0.0, 1.0, 1.0, 1.0, 0.0])
+        # the surrogate's gradient in log-prob is -adv * ratio / n except
+        # where the clipped branch wins outside [1 - eps, 1 + eps]
+        ratio = np.array([0.5, 0.9, 1.0, 1.1, 1.5, 0.5, 0.9, 1.1, 1.5])
+        adv = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+        loss, g = _clipped_surrogate(np.log(ratio), np.zeros(9), adv, 0.2)
+        dead = ((adv > 0) & (ratio > 1.2)) | ((adv < 0) & (ratio < 0.8))
+        np.testing.assert_array_equal(g[dead], 0.0)
+        np.testing.assert_allclose(g[~dead], (-adv * np.exp(np.log(ratio)) / 9)[~dead],
+                                   rtol=1e-15)
+        expected = np.minimum(ratio * adv, np.clip(ratio, 0.8, 1.2) * adv)
+        np.testing.assert_allclose(loss, -expected.mean(), rtol=1e-15)
 
     def test_minimum_tie_picks_first_argument(self):
-        a = leaf("a", np.array([2.0, 1.0]))
-        b = leaf("b", np.array([2.0, 3.0]))
-        loss = reduce_sum(minimum(a, b))
-        grads = backward(loss, {"a": a, "b": b})
-        np.testing.assert_array_equal(grads["a"], [1.0, 1.0])
-        np.testing.assert_array_equal(grads["b"], [0.0, 0.0])
+        # at ratio one the branches tie and the gradient is the unclipped
+        # branch's, -adv / n
+        adv = np.array([2.0, -1.0, 0.5])
+        _, g = _clipped_surrogate(np.zeros(3), np.zeros(3), adv, 0.2)
+        np.testing.assert_array_equal(g, -adv / 3.0)
 
     def test_select_scatters_per_row(self):
-        logits = leaf("l", np.arange(6.0).reshape(3, 2))
-        loss = reduce_sum(select(logits, np.array([1, 1, 0])))
-        grads = backward(loss, {"l": logits})
-        np.testing.assert_array_equal(grads["l"], [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        # d/dlogits of sum(log softmax[action]) is one-hot minus softmax, row by row
+        params = init_mlp(np.random.default_rng(75), 3, 2, "categorical", hidden=())
+        params.tensors["w0"][:] = 0.0
+        params.tensors["b0"][:] = [0.0, math.log(3.0)]
+        x = np.eye(3)
+        actions = np.array([1, 1, 0])
+        _, vjp = policy_log_prob_vjp(params, x, actions)
+        grads = vjp(np.ones(3))
+        expected = np.eye(2)[actions] - np.array([0.25, 0.75])
+        np.testing.assert_allclose(grads["w0"], expected, atol=1e-15)
+        np.testing.assert_allclose(grads["b0"], expected.sum(axis=0), atol=1e-15)
 
-    def test_non_scalar_root_rejected(self):
-        x = leaf("x", np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="scalar root"):
-            backward(square(x), {"x": x})
+    def test_misshaped_upstream_gradient_rejected(self):
+        params = init_mlp(np.random.default_rng(76), 2, 1, "value", hidden=(3,))
+        acts: list = []
+        mlp_forward(params, np.zeros((4, 2)), acts)
+        with pytest.raises(ValueError, match="upstream gradient"):
+            backward(params, acts, np.zeros(4))
+        with pytest.raises(ValueError, match="layer inputs"):
+            backward(params, acts[:1], np.zeros((4, 1)))
+        backward(params, acts, np.zeros((4, 1)))
 
-    def test_unknown_primitive_rejected(self):
-        x = leaf("x", np.array([1.0]))
-        fake = Node(value=np.float64(1.0), op="gelu", inputs=(x,), aux=None)
-        with pytest.raises(ValueError, match="unsupported primitive"):
-            backward(fake, {"x": x})
+
+class TestGradientOrderAndOwnership:
+    """Gradients come back in ``params.tensors`` order and own their memory,
+    because `clip_global_norm` sums them in dict order and scales them in
+    place."""
+
+    def _check(self, params, acts, grads):
+        assert list(grads) == list(params.tensors)
+        owners = [*params.tensors.values(), *acts]
+        values = list(grads.values())
+        for i, g in enumerate(values):
+            assert g.shape == params.tensors[list(grads)[i]].shape
+            for other in owners + values[:i]:
+                assert not np.shares_memory(g, other)
+
+    @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 3), ("gaussian", 2)])
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    def test_order_and_no_aliasing(self, head, out_dim, hidden):
+        params = init_mlp(np.random.default_rng(77), 3, out_dim, head, hidden)
+        obs = np.random.default_rng(78).normal(size=(6, 3))
+        acts: list = []
+        out = mlp_forward(params, obs, acts)
+        self._check(params, acts, backward(params, acts, np.ones_like(out)))
+        if head == "value":
+            _, vjp = value_vjp(params, obs)
+        else:
+            actions = (np.array([0, 2, 1, 1, 0, 2]) if head == "categorical"
+                       else np.random.default_rng(79).normal(size=(6, 2)))
+            _, vjp = policy_log_prob_vjp(params, obs, actions)
+        self._check(params, [], vjp(np.full(6, 0.5)))
 
 
 class TestInit:
@@ -142,14 +183,18 @@ class TestForward:
             value_forward(params, x[perm]), value_forward(params, x)[perm], rtol=1e-12, atol=1e-14
         )
 
-    def test_graph_twin_is_bitwise_identical(self):
+    def test_cached_forward_is_bitwise_identical(self):
         params = init_mlp(np.random.default_rng(8), 3, 2, "categorical", hidden=(8, 8))
         x = np.random.default_rng(9).normal(size=(4, 3))
-        out, _ = mlp_graph(params, x)
-        np.testing.assert_array_equal(out.value, mlp_forward(params, x))
+        acts: list = []
+        np.testing.assert_array_equal(mlp_forward(params, x, acts), mlp_forward(params, x))
+        assert len(acts) == 3
+        np.testing.assert_array_equal(acts[0], x)
+        np.testing.assert_array_equal(acts[2], np.tanh(acts[1] @ params.tensors["w1"]
+                                                       + params.tensors["b1"]))
         vparams = init_mlp(np.random.default_rng(10), 3, 1, "value", hidden=(8,))
-        vout, _ = value_graph(vparams, x)
-        np.testing.assert_array_equal(vout.value, value_forward(vparams, x))
+        v, _ = value_vjp(vparams, x)
+        np.testing.assert_array_equal(v, value_forward(vparams, x))
 
     def test_finite_over_pendulum_observation_range(self):
         params = init_mlp(np.random.default_rng(11), 3, 1, "value")
@@ -192,17 +237,21 @@ class TestLogProbs:
             total += np.exp(policy_log_prob(params, obs, np.full(4, a)))
         np.testing.assert_allclose(total, np.ones(4), atol=1e-12)
 
-    def test_graph_twin_bitwise_for_both_heads(self):
+    def test_vjp_log_probs_bitwise_for_both_heads(self):
         rng = np.random.default_rng(19)
         obs = rng.normal(size=(5, 3))
         cat = init_mlp(np.random.default_rng(20), 3, 4, "categorical", hidden=(8,))
         actions = np.array([1, 0, 3, 2, 1])
-        node, _ = policy_log_prob_graph(cat, obs, actions)
-        np.testing.assert_array_equal(node.value, policy_log_prob(cat, obs, actions))
+        logp, _ = policy_log_prob_vjp(cat, obs, actions)
+        np.testing.assert_array_equal(logp, policy_log_prob(cat, obs, actions))
         gauss = init_mlp(np.random.default_rng(21), 3, 2, "gaussian", hidden=(8,))
         acts = rng.normal(size=(5, 2))
-        gnode, _ = policy_log_prob_graph(gauss, obs, acts)
-        np.testing.assert_array_equal(gnode.value, policy_log_prob(gauss, obs, acts))
+        glogp, _ = policy_log_prob_vjp(gauss, obs, acts)
+        np.testing.assert_array_equal(glogp, policy_log_prob(gauss, obs, acts))
+        # sampling reuses the same arithmetic on its own forward pass
+        for params in (cat, gauss):
+            sampled, slogp = sample_action(params, obs, np.random.default_rng(3))
+            np.testing.assert_array_equal(slogp, policy_log_prob(params, obs, sampled))
 
     def test_value_head_has_no_log_prob(self):
         params = init_mlp(np.random.default_rng(22), 3, 1, "value")
@@ -243,6 +292,15 @@ class TestSampling:
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(l1, l2)
 
+    def test_draw_above_last_cumulative_picks_last_action(self):
+        # seven equal logits: the cumulative row ends at 0.9999999999999998,
+        # below the largest draw, which must land on the last action
+        params = init_mlp(np.random.default_rng(32), 2, 7, "categorical", hidden=())
+        params.tensors["w0"][:] = 0.0
+        actions, logp = sample_action(params, np.zeros((3, 2)), TopRng())
+        np.testing.assert_array_equal(actions, [6, 6, 6])
+        np.testing.assert_allclose(logp, np.full(3, -math.log(7.0)), rtol=1e-15)
+
     def test_deterministic_actions(self):
         cat = init_mlp(np.random.default_rng(29), 2, 3, "categorical", hidden=(4,))
         obs = np.random.default_rng(30).normal(size=(6, 2))
@@ -260,8 +318,9 @@ class TestGradientChecks:
         targets = np.random.default_rng(34).normal(size=8)
 
         def build():
-            out, leaves = value_graph(params, obs)
-            return mean(square(sub(out, const(targets)))), leaves
+            v, vjp = value_vjp(params, obs)
+            r = v - targets
+            return float(np.mean(np.square(r))), vjp(2.0 * r / r.size)
 
         assert finite_difference_max_rel_err(build, params) <= 1e-4
 
@@ -271,8 +330,8 @@ class TestGradientChecks:
         actions = np.array([0, 2, 1, 1, 0, 2])
 
         def build_cat():
-            node, leaves = policy_log_prob_graph(cat, obs, actions)
-            return mean(node), leaves
+            logp, vjp = policy_log_prob_vjp(cat, obs, actions)
+            return float(np.mean(logp)), vjp(np.full(logp.size, 1.0 / logp.size))
 
         assert finite_difference_max_rel_err(build_cat, cat) <= 1e-4
 
@@ -280,8 +339,8 @@ class TestGradientChecks:
         acts = np.random.default_rng(38).normal(size=(6, 2))
 
         def build_gauss():
-            node, leaves = policy_log_prob_graph(gauss, obs, acts)
-            return mean(node), leaves
+            logp, vjp = policy_log_prob_vjp(gauss, obs, acts)
+            return float(np.mean(logp)), vjp(np.full(logp.size, 1.0 / logp.size))
 
         assert finite_difference_max_rel_err(build_gauss, gauss) <= 1e-4
 
@@ -396,9 +455,8 @@ def test_full_cycle_bitwise_reproducible():
         obs = np.random.default_rng(51).normal(size=(16, 3))
         targets = np.random.default_rng(52).normal(size=16)
         for _ in range(3):
-            out, leaves = value_graph(params, obs)
-            loss = mean(square(sub(out, const(targets))))
-            grads = backward(loss, leaves)
+            v, vjp = value_vjp(params, obs)
+            grads = vjp(2.0 * (v - targets) / v.size)
             clip_global_norm(grads, 10.0)
             adam_step(params, grads, state, 3e-4)
         return params

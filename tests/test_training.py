@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apo.envs import TabularEnv, make_env, make_two_state, switch_policy
-from apo.mdp import Mdp
+from apo.envs import TabularEnv, make_env, make_two_loop, make_two_state, switch_policy
+from apo.mdp import Mdp, TabularPolicy, random_ergodic_mdp
 from apo.nn import (
-    backward,
+    deterministic_action,
     init_adam_state,
     init_mlp,
     policy_log_prob,
+    sample_action,
     value_forward,
 )
 from apo.training import (
@@ -32,8 +33,8 @@ from apo.training import (
     _check_finite,
     _sgd_epochs,
     collect_rollout,
+    _value_targets,
     compute_residuals_and_advantages,
-    compute_value_targets,
     evaluate,
     init_trainer,
     policy_loss,
@@ -44,7 +45,7 @@ from apo.training import (
     value_loss,
 )
 
-from tests.conftest import finite_difference_max_rel_err
+from tests.conftest import TopRng, finite_difference_max_rel_err
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -70,6 +71,29 @@ def seeded_env(name: str, seed: int):
 
 def states_from_obs(obs: np.ndarray) -> np.ndarray:
     return np.argmax(obs, axis=1)
+
+
+def random_mdp_8():
+    """The 8-state, 4-action MDP whose row (0, 0) sums to 0.9999999999999998."""
+    return random_ergodic_mdp(np.random.default_rng(0), 8, 4)
+
+
+def per_step_rollout(env, params, value, n_steps, rng):
+    """Reference for `collect_rollout`: one `sample_action` forward per env step."""
+    obs = env.observation()
+    all_obs, actions, rewards, logps = [], [], [], []
+    for _ in range(n_steps):
+        all_obs.append(obs)
+        a, logp = sample_action(params, obs[None], rng)
+        result = env.step(int(a[0]))
+        actions.append(int(a[0]))
+        rewards.append(result.reward)
+        logps.append(float(logp[0]))
+        obs = result.next_observation
+    all_obs.append(obs)
+    all_obs = np.array(all_obs)
+    values = value_forward(value, all_obs)
+    return all_obs, np.array(actions), np.array(rewards), np.array(logps), values
 
 
 def manual_batch(states, rewards, v, eta_hat=None, actions=None):
@@ -153,6 +177,12 @@ class TestActors:
         # p_swap = 0.8, three sigma on the frequency of action 1
         assert abs(draws.mean() - 0.8) < 3.0 * math.sqrt(0.8 * 0.2 / 5000)
 
+    def test_tabular_actor_draw_above_last_cumulative(self):
+        policy = TabularPolicy(random_mdp_8().transition[:, 0, :])
+        a, logp = TabularActor(policy).act(np.eye(8)[0], TopRng())
+        assert a == 7
+        assert logp == float(np.log(policy.probs[0, 7]))
+
     def test_neural_actor_returns_consistent_log_prob(self):
         params = init_mlp(np.random.default_rng(2), 2, 2, "categorical", (8,))
         actor = NeuralActor(params)
@@ -210,6 +240,59 @@ class TestCollectRollout:
         recomputed = policy_log_prob(policy, batch.obs, batch.actions)
         np.testing.assert_allclose(batch.old_log_prob, recomputed,
                                    rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["twostate", "twoloop", "random8"])
+    def test_table_path_matches_per_step_loop(self, name):
+        mdp = {"twostate": make_two_state, "twoloop": make_two_loop,
+               "random8": random_mdp_8}[name]()
+        n_states, n_actions = mdp.n_states, mdp.n_actions
+        policy = init_mlp(np.random.default_rng(50), n_states, n_actions, "categorical", (16, 16))
+        policy.tensors["w2"] *= 4.0  # spread the action probabilities
+        value = init_mlp(np.random.default_rng(51), n_states, 1, "value", (16, 16))
+        env_ref = TabularEnv(mdp, np.random.default_rng(52))
+        env = TabularEnv(mdp, np.random.default_rng(52))
+        rng_ref, rng = np.random.default_rng(53), np.random.default_rng(53)
+        obs, actions, rewards, logps, values = per_step_rollout(
+            env_ref, policy, value, 300, rng_ref)
+        batch = collect_rollout(env, NeuralActor(policy), value, 300, rng)
+        np.testing.assert_array_equal(batch.obs, obs[:-1])
+        np.testing.assert_array_equal(batch.next_obs, obs[1:])
+        np.testing.assert_array_equal(batch.actions, actions)
+        np.testing.assert_array_equal(batch.rewards, rewards)
+        np.testing.assert_array_equal(batch.old_log_prob, logps)
+        np.testing.assert_array_equal(batch.value, values[:-1])
+        np.testing.assert_array_equal(batch.next_value, values[1:])
+        assert len(set(actions.tolist())) > 1
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert env.rng.bit_generator.state == env_ref.rng.bit_generator.state
+        assert env.state == env_ref.state
+
+    def test_table_sees_parameter_changes_between_calls(self, two_loop):
+        env = TabularEnv(two_loop, np.random.default_rng(0))
+        policy = init_mlp(np.random.default_rng(54), 4, 2, "categorical", (8,))
+        value = init_mlp(np.random.default_rng(55), 4, 1, "value", (8,))
+        actor = NeuralActor(policy)
+        rng = np.random.default_rng(56)
+        first = collect_rollout(env, actor, value, 60, rng)
+        assert np.any(first.actions == 0)
+        policy.tensors["b1"][:] = [-40.0, 40.0]
+        second = collect_rollout(env, actor, value, 60, rng)
+        np.testing.assert_array_equal(second.actions, np.ones(60, dtype=np.int64))
+        np.testing.assert_allclose(second.old_log_prob,
+                                   policy_log_prob(policy, second.obs, second.actions),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_table_draw_above_last_cumulative(self):
+        # seven equal logits: every cumulative row ends below the largest
+        # draw, which must land on the last action
+        mdp = random_ergodic_mdp(np.random.default_rng(0), 8, 7)
+        policy = init_mlp(np.random.default_rng(57), 8, 7, "categorical", ())
+        policy.tensors["w0"][:] = 0.0
+        value = init_mlp(np.random.default_rng(58), 8, 1, "value", ())
+        batch = collect_rollout(TabularEnv(mdp, TopRng()), NeuralActor(policy), value, 5,
+                                TopRng())
+        np.testing.assert_array_equal(batch.actions, np.full(5, 6))
+        np.testing.assert_allclose(batch.old_log_prob, np.full(5, -math.log(7.0)), rtol=1e-15)
 
     def test_gaussian_rollout_on_pendulum(self):
         env = seeded_env("pendulum", 0)
@@ -315,9 +398,8 @@ class TestResidualsAndAdvantages:
         rng = np.random.default_rng(23)
         batch = RolloutBatch(None, None, rng.normal(size=8), None, None,
                              rng.normal(size=8), rng.normal(size=8))
-        compute_value_targets(batch, 0.4, 2.0, 0.3, discount=0.9)
         expected = batch.rewards - 0.4 + 0.9 * batch.next_value - 0.3 * 2.0
-        np.testing.assert_array_equal(batch.value_target, expected)
+        np.testing.assert_array_equal(_value_targets(batch, 0.4, 2.0, 0.3, 0.9), expected)
 
 
 class TestLosses:
@@ -334,9 +416,8 @@ class TestLosses:
 
     def test_value_loss_zero_at_perfect_fit(self):
         value, batch = self._swap_batch_with_critic()
-        loss, leaves = value_loss(value, batch, eta_hat=0.5, b=0.0, nu=0.0)
-        assert float(loss.value) == 0.0
-        grads = backward(loss, leaves)
+        loss, grads = value_loss(value, batch, eta_hat=0.5, b=0.0, nu=0.0)
+        assert loss == 0.0
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -350,8 +431,8 @@ class TestLosses:
         preds = value_forward(value, batch.obs)
         targets = batch.rewards - 0.5 + batch.next_value
         expected = 0.5 * np.mean((preds - targets) ** 2)
-        np.testing.assert_allclose(float(after.value), expected, rtol=1e-12)
-        assert float(before.value) == 0.0
+        np.testing.assert_allclose(after, expected, rtol=1e-12)
+        assert before == 0.0
 
     def test_value_loss_halved_square_oracle(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
@@ -361,8 +442,7 @@ class TestLosses:
         loss, _ = value_loss(value, batch, 0.2, 1.0, 0.3, discount=0.95)
         preds = value_forward(value, batch.obs)
         targets = batch.rewards - 0.2 + 0.95 * batch.next_value - 0.3 * 1.0
-        np.testing.assert_allclose(float(loss.value),
-                                   0.5 * np.mean((preds - targets) ** 2),
+        np.testing.assert_allclose(loss, 0.5 * np.mean((preds - targets) ** 2),
                                    rtol=1e-12)
 
     def test_policy_loss_requires_advantages(self):
@@ -381,7 +461,7 @@ class TestLosses:
                                 np.random.default_rng(29))
         compute_residuals_and_advantages(batch, 0.4, 0.9)
         loss, _ = policy_loss(policy, batch, 0.2)
-        np.testing.assert_allclose(float(loss.value), -batch.advantage.mean(),
+        np.testing.assert_allclose(loss, -batch.advantage.mean(),
                                    rtol=1e-12, atol=1e-14)
 
     def test_zero_advantages_zero_gradient(self, two_state):
@@ -391,8 +471,7 @@ class TestLosses:
         batch = collect_rollout(env, NeuralActor(policy), value, 32,
                                 np.random.default_rng(32))
         batch.advantage = np.zeros(32)
-        loss, leaves = policy_loss(policy, batch, 0.2)
-        grads = backward(loss, leaves)
+        _, grads = policy_loss(policy, batch, 0.2)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -410,9 +489,8 @@ class TestLosses:
         # ratio 2 with positive advantages lands on the clipped branch,
         # which is constant, so the gradient vanishes
         policy, batch = self._ratio_two_batch(+1.0)
-        loss, leaves = policy_loss(policy, batch, 0.2)
-        np.testing.assert_allclose(float(loss.value), -1.2, rtol=1e-12)
-        grads = backward(loss, leaves)
+        loss, grads = policy_loss(policy, batch, 0.2)
+        np.testing.assert_allclose(loss, -1.2, rtol=1e-12)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -420,9 +498,8 @@ class TestLosses:
         # with negative advantages the min keeps the unclipped branch and
         # the gradient survives
         policy, batch = self._ratio_two_batch(-1.0)
-        loss, leaves = policy_loss(policy, batch, 0.2)
-        np.testing.assert_allclose(float(loss.value), 2.0, rtol=1e-12)
-        grads = backward(loss, leaves)
+        loss, grads = policy_loss(policy, batch, 0.2)
+        np.testing.assert_allclose(loss, 2.0, rtol=1e-12)
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total > 1e-3
 
@@ -435,8 +512,7 @@ class TestLosses:
         compute_residuals_and_advantages(batch, 0.5, 0.9)
         idx = np.array([3, 7, 11])
         sub_loss, _ = policy_loss(policy, batch, 0.2, idx)
-        np.testing.assert_allclose(float(sub_loss.value),
-                                   -batch.advantage[idx].mean(), rtol=1e-12)
+        np.testing.assert_allclose(sub_loss, -batch.advantage[idx].mean(), rtol=1e-12)
 
     def test_gradients_match_finite_differences(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
@@ -451,6 +527,9 @@ class TestLosses:
             lambda: policy_loss(policy, batch, 0.2), policy)
         assert err_v < 1e-4
         assert err_p < 1e-4
+        # clip_global_norm sums the gradients in dict order
+        assert list(value_loss(value, batch, 0.4, 0.2, 0.3)[1]) == list(value.tensors)
+        assert list(policy_loss(policy, batch, 0.2)[1]) == list(policy.tensors)
 
 
 class TestAlgoTerms:
@@ -507,7 +586,6 @@ class TestPpoPathEquivalence:
         batch = collect_rollout(env, NeuralActor(state.policy), state.value,
                                 cfg.rollout_len, sample_rng)
         compute_residuals_and_advantages(batch, 0.0, cfg.lam, cfg.gamma)
-        compute_value_targets(batch, 0.0, 0.0, 0.0, cfg.gamma)
         _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
                     state.policy, state.policy_adam, cfg.rollout_len, cfg,
                     sample_rng, "policy loss", state)
@@ -622,6 +700,28 @@ class TestEvaluate:
         policy = init_mlp(np.random.default_rng(45), 2, 2, "categorical", (4,))
         score = evaluate(env, policy, 50, 2, np.random.default_rng(46))
         np.testing.assert_allclose(score, 0.7, rtol=1e-12)
+
+    def test_tabular_argmax_matches_per_step_forward(self):
+        mdp = random_mdp_8()
+        policy = init_mlp(np.random.default_rng(59), 8, 4, "categorical", (8,))
+        policy.tensors["w1"] *= 4.0
+        got = evaluate(TabularEnv(mdp, np.random.default_rng(0)), policy, 40, 3,
+                       np.random.default_rng(5))
+        env, rng = TabularEnv(mdp, np.random.default_rng(0)), np.random.default_rng(5)
+        per_episode = np.empty(3)
+        greedy = set()
+        for ep in range(3):
+            obs = env.reset(rng)
+            total = 0.0
+            for _ in range(40):
+                action = int(deterministic_action(policy, obs[None])[0])
+                greedy.add(action)
+                result = env.step(action)
+                total += result.reward
+                obs = result.next_observation
+            per_episode[ep] = total / 40
+        assert len(greedy) > 1
+        assert got == float(per_episode.mean())
 
     def test_uses_supplied_rng_for_resets(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
