@@ -24,6 +24,7 @@ from apo.mdp import (
     write_mdp,
 )
 from apo.analysis import (
+    InducedChain,
     PolicyAnalysis,
     analyze_policy,
     average_policy_iteration,

@@ -7,6 +7,11 @@ the fundamental matrix ``Z = (I - g*P + g*e d)^{-1}``, which stays
 nonsingular at ``g = 1``; the resolvent ``(I - g*P)^{-1}`` is only ever
 formed for ``g < 1``.
 
+`InducedChain` solves each quantity of one (MDP, policy) chain at most
+once, on first use, per discount where it has one.  The module-level
+functions are views that read one quantity from a fresh chain; callers that
+need several (`analyze_policy`, `apo.bounds`) read them all from one chain.
+
 Value functions follow the zero-mean convention: the discounted value of a
 state accumulates ``r - eta`` where ``eta`` is the average reward, so the
 stationary expectation of the value vector is exactly zero for every
@@ -16,7 +21,8 @@ discount.  The raw Poisson solution differs from this by the constant shift
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from apo.mdp import (
     NotErgodicError,
     StateDistribution,
     TabularPolicy,
-    _check_compatible,
     induced_reward,
     induced_transition,
 )
@@ -45,170 +50,200 @@ def _check_gamma(gamma: float) -> float:
     return g
 
 
-def stationary_distribution(mdp: Mdp, policy: TabularPolicy) -> StateDistribution:
-    """Stationary distribution of the induced chain.
-
-    Solves the balance equations with one of them replaced by the
-    normalization row.  The replaced system is nonsingular exactly when the
-    chain has a single recurrent class, so unichains with transient states
-    work; a genuinely multichain policy raises `NotErgodicError`.
+class InducedChain:
+    """The Markov chain ``policy`` induces on ``mdp``: ``p`` and ``r`` (the
+    induced transitions and per-state rewards) are built on construction,
+    everything else is solved on first use and kept for the object's life.
+    ``d0`` (default: the MDP's own) is read only at discounts below one.
     """
-    p = induced_transition(mdp, policy)
-    n = p.shape[0]
-    a = p.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        d = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotErgodicError(f"induced chain is not ergodic: {exc}") from exc
-    residual = float(np.max(np.abs(d @ p - d)))
-    if residual > SOLVER_ATOL:
-        raise NotErgodicError(
-            f"induced chain is not ergodic: balance residual {residual:.3e}"
-        )
-    return StateDistribution(d)
+
+    def __init__(self, mdp: Mdp, policy: TabularPolicy, d0: np.ndarray | None = None):
+        self.mdp = mdp
+        self.policy = policy
+        self.p = induced_transition(mdp, policy)
+        self.r = induced_reward(mdp, policy)
+        self.n = mdp.n_states
+        self._d0 = d0
+        self._z: dict[float, np.ndarray] = {}
+        self._occupancy: dict[float, StateDistribution] = {}
+        self._values: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def stationary(self) -> StateDistribution:
+        """Stationary distribution.
+
+        Solves the balance equations with one of them replaced by the
+        normalization row.  The replaced system is nonsingular exactly when
+        the chain has a single recurrent class, so unichains with transient
+        states work; a genuinely multichain policy raises `NotErgodicError`.
+        """
+        a = self.p.T - np.eye(self.n)
+        a[-1, :] = 1.0
+        b = np.zeros(self.n)
+        b[-1] = 1.0
+        try:
+            d = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise NotErgodicError(f"induced chain is not ergodic: {exc}") from exc
+        residual = float(np.max(np.abs(d @ self.p - d)))
+        if residual > SOLVER_ATOL:
+            raise NotErgodicError(f"induced chain is not ergodic: balance residual {residual:.3e}")
+        return StateDistribution(d)
+
+    @cached_property
+    def average_reward(self) -> float:
+        return float(self.stationary.probs @ self.r)
+
+    def occupancy(self, gamma: float) -> StateDistribution:
+        """Normalized discounted state occupancy ``(1-g) d0 (I - g P)^{-1}``.
+
+        At ``gamma = 0`` this is the start distribution; at ``gamma = 1`` it
+        is the stationary distribution (the limit is taken analytically, not
+        by inverting a singular matrix).
+        """
+        g = _check_gamma(gamma)
+        if g == 1.0:
+            return self.stationary
+        if g not in self._occupancy:
+            start = self.mdp.init_dist if self._d0 is None else np.asarray(self._d0, np.float64)
+            if start.shape != (self.n,):
+                raise ValueError(f"d0 has shape {start.shape}, expected {(self.n,)}")
+            # d_g solves d_g (I - g P) = (1-g) d0, i.e. (I - g P)^T x = (1-g) d0.
+            d = np.linalg.solve(np.eye(self.n) - g * self.p.T, (1.0 - g) * start)
+            self._occupancy[g] = StateDistribution(d)
+        return self._occupancy[g]
+
+    def discounted_return(self, gamma: float) -> float:
+        return float(self.occupancy(gamma).probs @ self.r)
+
+    def fundamental(self, gamma: float) -> np.ndarray:
+        """``Z = (I - g P + g e d)^{-1}``.
+
+        Nonsingular for every discount in ``(0, 1]`` on a unichain; satisfies
+        ``Z e = e``, ``d Z = d`` and ``Z (I - g P) = I - g e d``.
+        """
+        g = _check_gamma(gamma)
+        if g not in self._z:
+            n = self.n
+            a = np.eye(n) - g * self.p + g * np.outer(np.ones(n), self.stationary.probs)
+            try:
+                z = np.linalg.solve(a, np.eye(n))
+            except np.linalg.LinAlgError as exc:
+                cond = float(np.linalg.cond(a))
+                raise NumericalConditioningError(
+                    f"fundamental matrix solve failed (condition estimate {cond:.3e})"
+                ) from exc
+            residual = float(np.max(np.abs(a @ z - np.eye(n))))
+            if residual > SOLVER_ATOL:
+                cond = float(np.linalg.cond(a))
+                raise NumericalConditioningError(
+                    f"fundamental matrix residual {residual:.3e} "
+                    f"(condition estimate {cond:.3e})"
+                )
+            self._z[g] = z
+        return self._z[g]
+
+    def values(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-mean state values, action values, and advantages.
+
+        ``v = (Z - e d) r_pi`` accumulates ``r - eta`` along discounted
+        paths, so ``d @ v = 0`` exactly.  ``q(s, a) = r(s, a) - eta + g *
+        P(.|s,a) v`` and ``adv = q - v`` with the stored ``v``, so the
+        advantage identity is exact as computed.
+        """
+        g = _check_gamma(gamma)
+        if g not in self._values:
+            v = (self.fundamental(g) - np.outer(np.ones(self.n), self.stationary.probs)) @ self.r
+            q = self.mdp.reward - self.average_reward + g * (self.mdp.transition @ v)
+            self._values[g] = (v, q, q - v[:, None])
+        return self._values[g]
+
+    @cached_property
+    def passage(self) -> np.ndarray:
+        """Mean first passage times ``M[s, s']``.
+
+        Diagonal entries are mean recurrence times ``1 / d(s)``.  Computed
+        from the discount-one fundamental matrix as ``M = (I - Z + E Z_dg) D``
+        with ``D = diag(1 / d)``; satisfies ``M = P (M - D) + E``.
+        """
+        z = self.fundamental(1.0)
+        d = self.stationary.probs
+        if d.min() <= 0.0:
+            raise NotErgodicError("mean first passage needs strictly positive stationary mass")
+        n = self.n
+        return (np.eye(n) - z + np.ones((n, n)) @ np.diag(np.diag(z))) @ np.diag(1.0 / d)
+
+    @cached_property
+    def kemeny(self) -> float:
+        """Kemeny's constant: expected passage time to a stationary target.
+
+        ``sum_s' d(s') M[s, s']`` does not depend on the source row; the
+        shared value also equals ``trace(Z)`` at discount one.  Both facts
+        are checked to ``IDENTITY_ATOL`` before returning.
+        """
+        rows = self.passage @ self.stationary.probs
+        spread = float(rows.max() - rows.min())
+        if spread > IDENTITY_ATOL:
+            raise NumericalConditioningError(
+                f"Kemeny row values differ by {spread:.3e}; chain too ill-conditioned"
+            )
+        value = float(rows.mean())
+        trace = float(np.trace(self.fundamental(1.0)))
+        if abs(value - trace) > IDENTITY_ATOL:
+            raise NumericalConditioningError(
+                f"Kemeny value {value!r} disagrees with fundamental-matrix trace {trace!r}"
+            )
+        return value
+
+
+def stationary_distribution(mdp: Mdp, policy: TabularPolicy) -> StateDistribution:
+    """Stationary distribution of the induced chain (see `InducedChain.stationary`)."""
+    return InducedChain(mdp, policy).stationary
 
 
 def discounted_state_distribution(
-    mdp: Mdp,
-    policy: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
+    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
 ) -> StateDistribution:
-    """Normalized discounted state occupancy ``(1-g) d0 (I - g P)^{-1}``.
-
-    At ``gamma = 0`` this is the initial distribution; at ``gamma = 1`` it
-    is the stationary distribution (the limit is taken analytically, not by
-    inverting a singular matrix).
-    """
-    g = _check_gamma(gamma)
-    if g == 1.0:
-        return stationary_distribution(mdp, policy)
-    p = induced_transition(mdp, policy)
-    start = mdp.init_dist if d0 is None else np.asarray(d0, dtype=np.float64)
-    if start.shape != (p.shape[0],):
-        raise ValueError(f"d0 has shape {start.shape}, expected {(p.shape[0],)}")
-    # d_g solves d_g (I - g P) = (1-g) d0, i.e. (I - g P)^T x = (1-g) d0.
-    d = np.linalg.solve(np.eye(p.shape[0]) - g * p.T, (1.0 - g) * start)
-    return StateDistribution(d)
+    """Discounted occupancy from ``d0`` (see `InducedChain.occupancy`)."""
+    return InducedChain(mdp, policy, d0).occupancy(gamma)
 
 
 def average_reward(mdp: Mdp, policy: TabularPolicy) -> float:
     """Long-run reward per step of the induced chain."""
-    d = stationary_distribution(mdp, policy)
-    return float(d.probs @ induced_reward(mdp, policy))
+    return InducedChain(mdp, policy).average_reward
 
 
 def discounted_return(
-    mdp: Mdp,
-    policy: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
+    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
 ) -> float:
     """Normalized discounted return ``(1-g) E[sum g^t r_t]``.
 
     Equals the occupancy-weighted one-step reward; reduces to the average
     reward at ``gamma = 1`` and to the initial expected reward at 0.
     """
-    g = _check_gamma(gamma)
-    if g == 1.0:
-        return average_reward(mdp, policy)
-    d = discounted_state_distribution(mdp, policy, g, d0=d0)
-    return float(d.probs @ induced_reward(mdp, policy))
+    return InducedChain(mdp, policy, d0).discounted_return(gamma)
 
 
 def fundamental_matrix(mdp: Mdp, policy: TabularPolicy, gamma: float) -> np.ndarray:
-    """``Z = (I - g P + g e d)^{-1}`` for the induced chain.
-
-    Nonsingular for every discount in ``(0, 1]`` on a unichain; satisfies
-    ``Z e = e``, ``d Z = d`` and ``Z (I - g P) = I - g e d``.
-    """
-    g = _check_gamma(gamma)
-    p = induced_transition(mdp, policy)
-    d = stationary_distribution(mdp, policy).probs
-    n = p.shape[0]
-    a = np.eye(n) - g * p + g * np.outer(np.ones(n), d)
-    try:
-        z = np.linalg.solve(a, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(a))
-        raise NumericalConditioningError(
-            f"fundamental matrix solve failed (condition estimate {cond:.3e})"
-        ) from exc
-    residual = float(np.max(np.abs(a @ z - np.eye(n))))
-    if residual > SOLVER_ATOL:
-        cond = float(np.linalg.cond(a))
-        raise NumericalConditioningError(
-            f"fundamental matrix residual {residual:.3e} "
-            f"(condition estimate {cond:.3e})"
-        )
-    return z
+    """Fundamental matrix of the induced chain (see `InducedChain.fundamental`)."""
+    return InducedChain(mdp, policy).fundamental(gamma)
 
 
 def value_functions(
     mdp: Mdp, policy: TabularPolicy, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-mean state values, action values, and advantages.
-
-    ``v = (Z - e d) r_pi`` accumulates ``r - eta`` along discounted paths,
-    so ``d @ v = 0`` exactly.  ``q(s, a) = r(s, a) - eta + g * P(.|s,a) v``
-    and ``adv = q - v`` with the stored ``v``, so the advantage identity is
-    exact as computed.
-    """
-    g = _check_gamma(gamma)
-    _check_compatible(mdp, policy)
-    d = stationary_distribution(mdp, policy).probs
-    r_pi = induced_reward(mdp, policy)
-    eta = float(d @ r_pi)
-    z = fundamental_matrix(mdp, policy, g)
-    n = mdp.n_states
-    v = (z - np.outer(np.ones(n), d)) @ r_pi
-    q = mdp.reward - eta + g * (mdp.transition @ v)
-    adv = q - v[:, None]
-    return v, q, adv
+    """Zero-mean ``(v, q, adv)`` of the induced chain (see `InducedChain.values`)."""
+    return InducedChain(mdp, policy).values(gamma)
 
 
 def mean_first_passage(mdp: Mdp, policy: TabularPolicy) -> np.ndarray:
-    """Mean first passage times ``M[s, s']`` of the induced chain.
-
-    Diagonal entries are mean recurrence times ``1 / d(s)``.  Computed from
-    the discount-one fundamental matrix as ``M = (I - Z + E Z_dg) D`` with
-    ``D = diag(1 / d)``; satisfies ``M = P (M - D) + E``.
-    """
-    z = fundamental_matrix(mdp, policy, 1.0)
-    d = stationary_distribution(mdp, policy).probs
-    if d.min() <= 0.0:
-        raise NotErgodicError("mean first passage needs strictly positive stationary mass")
-    n = z.shape[0]
-    e = np.ones((n, n))
-    m = (np.eye(n) - z + e @ np.diag(np.diag(z))) @ np.diag(1.0 / d)
-    return m
+    """Mean first passage times of the induced chain (see `InducedChain.passage`)."""
+    return InducedChain(mdp, policy).passage
 
 
 def kemeny_constant(mdp: Mdp, policy: TabularPolicy) -> float:
-    """Kemeny's constant: expected passage time to a stationary target.
-
-    ``sum_s' d(s') M[s, s']`` does not depend on the source row; the shared
-    value also equals ``trace(Z)`` at discount one.  Both facts are checked
-    to ``IDENTITY_ATOL`` before returning.
-    """
-    m = mean_first_passage(mdp, policy)
-    d = stationary_distribution(mdp, policy).probs
-    rows = m @ d
-    spread = float(rows.max() - rows.min())
-    if spread > IDENTITY_ATOL:
-        raise NumericalConditioningError(
-            f"Kemeny row values differ by {spread:.3e}; chain too ill-conditioned"
-        )
-    value = float(rows.mean())
-    trace = float(np.trace(fundamental_matrix(mdp, policy, 1.0)))
-    if abs(value - trace) > IDENTITY_ATOL:
-        raise NumericalConditioningError(
-            f"Kemeny value {value!r} disagrees with fundamental-matrix trace {trace!r}"
-        )
-    return value
+    """Kemeny's constant of the induced chain (see `InducedChain.kemeny`)."""
+    return InducedChain(mdp, policy).kemeny
 
 
 def average_policy_iteration(mdp: Mdp) -> tuple[TabularPolicy, float]:
@@ -225,14 +260,14 @@ def average_policy_iteration(mdp: Mdp) -> tuple[TabularPolicy, float]:
     prev_actions: np.ndarray | None = None
     cap = 10 * s * a
     for _ in range(cap):
+        chain = InducedChain(mdp, policy)
         try:
-            v, q, _ = value_functions(mdp, policy, 1.0)
+            _, q, _ = chain.values(1.0)
         except NotErgodicError as exc:
             raise NotErgodicError(f"non-ergodic intermediate policy: {exc}") from exc
-        eta = average_reward(mdp, policy)
         greedy = np.argmax(q, axis=1)
         if prev_actions is not None and np.array_equal(greedy, prev_actions):
-            return policy, eta
+            return policy, chain.average_reward
         probs = np.zeros((s, a))
         probs[np.arange(s), greedy] = 1.0
         policy = TabularPolicy(probs)
@@ -242,7 +277,7 @@ def average_policy_iteration(mdp: Mdp) -> tuple[TabularPolicy, float]:
 
 @dataclass(frozen=True)
 class PolicyAnalysis:
-    """Everything exact about one (MDP, policy, discount) triple."""
+    """Everything exact about one (MDP, policy, discount) triple, and its chain."""
 
     gamma: float
     eta_avg: float
@@ -255,28 +290,28 @@ class PolicyAnalysis:
     z: np.ndarray
     m: np.ndarray
     kemeny: float
+    chain: InducedChain = field(repr=False, compare=False)
 
 
 def analyze_policy(
-    mdp: Mdp,
-    policy: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
+    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
 ) -> PolicyAnalysis:
     g = _check_gamma(gamma)
-    v, q, adv = value_functions(mdp, policy, g)
+    chain = InducedChain(mdp, policy, d0)
+    v, q, adv = chain.values(g)
     return PolicyAnalysis(
         gamma=g,
-        eta_avg=average_reward(mdp, policy),
-        eta_disc=discounted_return(mdp, policy, g, d0=d0),
-        d_stat=stationary_distribution(mdp, policy),
-        d_disc=discounted_state_distribution(mdp, policy, g, d0=d0),
+        eta_avg=chain.average_reward,
+        eta_disc=chain.discounted_return(g),
+        d_stat=chain.stationary,
+        d_disc=chain.occupancy(g),
         v=v,
         q=q,
         adv=adv,
-        z=fundamental_matrix(mdp, policy, g),
-        m=mean_first_passage(mdp, policy),
-        kemeny=kemeny_constant(mdp, policy),
+        z=chain.fundamental(g),
+        m=chain.passage,
+        kemeny=chain.kemeny,
+        chain=chain,
     )
 
 
@@ -285,14 +320,17 @@ def analysis_residuals(mdp: Mdp, policy: TabularPolicy, analysis: PolicyAnalysis
 
     Includes the stationary balance residual, the three fundamental-matrix
     properties, the passage-time equations, the zero-mean property of the
-    values, and the Kemeny row spread.
+    values, and the Kemeny row spread.  ``mdp`` and ``policy`` must be the
+    objects the analysis was made for; its chain supplies ``P`` and ``Z_1``.
     """
-    p = induced_transition(mdp, policy)
+    chain = analysis.chain
+    if chain.mdp is not mdp or chain.policy is not policy:
+        raise ValueError("analysis was made for a different MDP or policy")
+    p, n = chain.p, chain.n
     g = analysis.gamma
     d = analysis.d_stat.probs
     z = analysis.z
     m = analysis.m
-    n = p.shape[0]
     e = np.ones(n)
     ee = np.ones((n, n))
     dg = np.diag(1.0 / d)
@@ -307,7 +345,5 @@ def analysis_residuals(mdp: Mdp, policy: TabularPolicy, analysis: PolicyAnalysis
         "passage_bellman": float(np.max(np.abs(m - (p @ (m - dg) + ee)))),
         "value_zero_mean": float(abs(d @ analysis.v)),
         "kemeny_row_spread": float(rows.max() - rows.min()),
-        "kemeny_trace_gap": float(
-            abs(analysis.kemeny - np.trace(fundamental_matrix(mdp, policy, 1.0)))
-        ),
+        "kemeny_trace_gap": float(abs(analysis.kemeny - np.trace(chain.fundamental(1.0)))),
     }

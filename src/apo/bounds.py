@@ -10,7 +10,8 @@ discount and on Kemeny's constant of the *new* policy's chain.
 
 `check_performance_bound` evaluates all of this exactly and reports each
 inequality as data; nothing raises on a violation, so sweeps can collect
-every failure.
+every failure.  Each function reads all it needs from one `InducedChain` per
+policy, so each quantity is solved once per (MDP, policy, discount).
 """
 
 from __future__ import annotations
@@ -19,39 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from apo.analysis import (
-    discounted_state_distribution,
-    fundamental_matrix,
-    kemeny_constant,
-    mean_first_passage,
-    stationary_distribution,
-    value_functions,
-)
-from apo.mdp import (
-    Mdp,
-    StateDistribution,
-    TabularPolicy,
-    induced_reward,
-    induced_transition,
-    policy_distance,
-)
+from apo.analysis import InducedChain, _check_gamma
+from apo.mdp import Mdp, StateDistribution, TabularPolicy, policy_distance
 
 # Exact inequalities are checked with this much slack for float noise.
 BOUND_SLACK = 1e-9
 XI_SINGULARITY_EPS = 1e-12
 
 
-def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not (0.0 <= g <= 1.0):
-        raise ValueError(f"discount must lie in [0, 1], got {gamma}")
-    return g
-
-
-def _occupancy(mdp: Mdp, policy: TabularPolicy, gamma: float, d0) -> StateDistribution:
-    if gamma == 1.0:
-        return stationary_distribution(mdp, policy)
-    return discounted_state_distribution(mdp, policy, gamma, d0=d0)
+def _surrogate(old: InducedChain, new: InducedChain, g: float) -> float:
+    v_old = old.values(g)[0]
+    return float(old.occupancy(g).probs @ (new.r - old.r + g * ((new.p - old.p) @ v_old)))
 
 
 def surrogate_objective(
@@ -69,11 +48,7 @@ def surrogate_objective(
     advantages.
     """
     g = _check_gamma(gamma)
-    d_old = _occupancy(mdp, pi_old, g, d0)
-    v_old = value_functions(mdp, pi_old, g)[0]
-    r_delta = induced_reward(mdp, pi_new) - induced_reward(mdp, pi_old)
-    p_delta = induced_transition(mdp, pi_new) - induced_transition(mdp, pi_old)
-    return float(d_old.probs @ (r_delta + g * (p_delta @ v_old)))
+    return _surrogate(InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0), g)
 
 
 def epsilon_gamma(
@@ -81,7 +56,7 @@ def epsilon_gamma(
 ) -> float:
     """Largest per-state magnitude of the new policy's expected old advantage."""
     g = _check_gamma(gamma)
-    adv = value_functions(mdp, pi_old, g)[2]
+    adv = InducedChain(mdp, pi_old).values(g)[2]
     per_state = np.einsum("sa,sa->s", pi_new.probs, adv)
     return float(np.max(np.abs(per_state)))
 
@@ -115,14 +90,10 @@ def distribution_tv(d1: StateDistribution, d2: StateDistribution) -> float:
 def xi_profile(kemeny: float, gamma_grid: np.ndarray) -> np.ndarray:
     """Table of ``(gamma, xi_gamma)`` rows over a grid of discounts."""
     grid = np.asarray(gamma_grid, dtype=np.float64)
-    out = np.empty((grid.shape[0], 2))
-    for i, g in enumerate(grid):
-        out[i, 0] = g
-        out[i, 1] = xi_gamma(float(g), kemeny)
-    return out
+    return np.column_stack([grid, [xi_gamma(float(g), kemeny) for g in grid]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """One bound evaluation; `holds_*` flags mirror the stored numbers."""
 
@@ -162,19 +133,16 @@ def check_performance_bound(
     * the combined two-sided bound ``L -/+ 2 eps xi E_TV``.
     """
     g = _check_gamma(gamma)
-    d_old = _occupancy(mdp, pi_old, g, d0)
-    d_new = _occupancy(mdp, pi_new, g, d0)
-    eta_old = float(d_old.probs @ induced_reward(mdp, pi_old))
-    eta_new = float(d_new.probs @ induced_reward(mdp, pi_new))
-    actual = eta_new - eta_old
+    old, new = InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0)
+    d_old, d_new = old.occupancy(g), new.occupancy(g)
+    actual = new.discounted_return(g) - old.discounted_return(g)
 
-    adv_old = value_functions(mdp, pi_old, g)[2]
-    expected_adv = np.einsum("sa,sa->s", pi_new.probs, adv_old)
+    expected_adv = np.einsum("sa,sa->s", pi_new.probs, old.values(g)[2])
     pdf_residual = abs(actual - float(d_new.probs @ expected_adv))
 
-    surrogate = surrogate_objective(mdp, pi_old, pi_new, g, d0=d0)
+    surrogate = _surrogate(old, new, g)
     eps = float(np.max(np.abs(expected_adv)))
-    kem = kemeny_constant(mdp, pi_new)
+    kem = new.kemeny
     xi = xi_gamma(g, kem)
     exp_tv = policy_distance(pi_new, pi_old, d_old).expected_tv
     d_tv = distribution_tv(d_new, d_old)
@@ -215,12 +183,10 @@ def check_distribution_identity(
     average-case ``Z`` at one).  Returns the max-abs residual.
     """
     g = _check_gamma(gamma)
-    d_old = _occupancy(mdp, pi_old, g, d0).probs
-    d_new = _occupancy(mdp, pi_new, g, d0).probs
-    p_delta = induced_transition(mdp, pi_new) - induced_transition(mdp, pi_old)
-    z_new = fundamental_matrix(mdp, pi_new, g)
-    rhs = g * (d_old @ p_delta) @ z_new
-    return float(np.max(np.abs((d_new - d_old) - rhs)))
+    old, new = InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0)
+    d_old = old.occupancy(g).probs
+    rhs = g * (d_old @ (new.p - old.p)) @ new.fundamental(g)
+    return float(np.max(np.abs((new.occupancy(g).probs - d_old) - rhs)))
 
 
 @dataclass(frozen=True)
@@ -246,9 +212,8 @@ def check_matrix_identities(
     apply and ``resolvent_difference_applicable`` is False.
     """
     g = _check_gamma(gamma)
-    m = mean_first_passage(mdp, policy)
-    d = stationary_distribution(mdp, policy).probs
-    kem = kemeny_constant(mdp, policy)
+    chain = InducedChain(mdp, policy)
+    m, d, kem = chain.passage, chain.stationary.probs, chain.kemeny
     md = m @ np.diag(d)
     stochastic = md / kem
     row_sum_residual = float(np.max(np.abs(stochastic.sum(axis=1) - 1.0)))
@@ -257,7 +222,7 @@ def check_matrix_identities(
     applicable = (1.0 - g) * kem < 1.0
     resolvent_difference_residual = None
     if applicable:
-        z = fundamental_matrix(mdp, policy, g)
+        z = chain.fundamental(g)
         n = z.shape[0]
         e = np.ones((n, n))
         lhs = z @ (np.eye(n) - (1.0 - g) * md)

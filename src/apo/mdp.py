@@ -301,13 +301,10 @@ def policy_distance(
     a, b = p1.probs, p2.probs
     tv = 0.5 * np.abs(a - b).sum(axis=1)
     expected_tv = float(weights.probs @ tv)
-    kl = np.zeros(p1.n_states)
-    for s in range(p1.n_states):
-        support = a[s] > 0.0
-        if np.any(b[s][support] == 0.0):
-            kl[s] = np.inf
-        else:
-            kl[s] = float(np.sum(a[s][support] * np.log(a[s][support] / b[s][support])))
+    support = a > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(support, a * np.log(a / b), 0.0).sum(axis=1)
+    kl[(support & (b == 0.0)).any(axis=1)] = np.inf
     expected_kl = float(weights.probs @ kl) if np.all(np.isfinite(kl)) else float("inf")
     return PolicyDistance(tv=tv, expected_tv=expected_tv, expected_kl=expected_kl)
 

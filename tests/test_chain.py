@@ -1,0 +1,170 @@
+"""The shared chain core: solve counts, views against bundled reports, guards."""
+
+import sys
+
+import numpy as np
+import pytest
+
+import apo.mdp
+from apo.analysis import (
+    InducedChain,
+    analysis_residuals,
+    analyze_policy,
+    average_reward,
+    discounted_return,
+    discounted_state_distribution,
+    fundamental_matrix,
+    kemeny_constant,
+    mean_first_passage,
+    stationary_distribution,
+    value_functions,
+)
+from apo.bounds import (
+    check_distribution_identity,
+    check_performance_bound,
+    epsilon_gamma,
+    surrogate_objective,
+    xi_gamma,
+)
+from apo.mdp import NotErgodicError, TabularPolicy, random_ergodic_mdp, random_policy
+
+VIEW_GAMMAS = (0.0, 0.5, 0.9, 1.0)
+
+
+def random_triples(n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        s = int(rng.integers(2, 13))
+        a = int(rng.integers(2, 5))
+        mdp = random_ergodic_mdp(rng, s, a, reward_range=(-1.0, 1.0))
+        out.append((mdp, random_policy(rng, s, a), random_policy(rng, s, a)))
+    return out
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts `numpy.linalg.solve` calls and `induced_transition` calls at
+    every name that binds it inside the package."""
+    tally = {"solve": 0, "build": 0}
+    solve, build = np.linalg.solve, apo.mdp.induced_transition
+
+    def counting_solve(*args, **kwargs):
+        tally["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        tally["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for name, module in list(sys.modules.items()):
+        if name == "apo" or name.startswith("apo."):
+            for key, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, key, counting_build)
+    return tally
+
+
+# (solves at gamma = 1, solves at gamma < 1, induced_transition calls)
+LIMITS = {
+    "check_performance_bound": (4, 6, 2),
+    "check_distribution_identity": (3, 4, 2),
+    "analyze_policy": (4, 4, 1),
+}
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_one_solve_per_quantity(self, counts, name, gamma):
+        mdp, pi_old, pi_new = random_triples(1, seed=3)[0]
+        calls = {
+            "check_performance_bound": lambda: check_performance_bound(mdp, pi_old, pi_new, gamma),
+            "check_distribution_identity": lambda: check_distribution_identity(
+                mdp, pi_old, pi_new, gamma
+            ),
+            "analyze_policy": lambda: analyze_policy(mdp, pi_old, gamma),
+        }
+        solves_one, solves_below, builds = LIMITS[name]
+        calls[name]()
+        assert counts["solve"] <= (solves_one if gamma == 1.0 else solves_below)
+        assert counts["build"] <= builds
+
+    def test_chain_reuses_every_quantity(self, counts):
+        mdp, pi, _ = random_triples(1, seed=4)[0]
+        chain = InducedChain(mdp, pi)
+        first = (chain.stationary, chain.occupancy(0.9), chain.fundamental(0.9),
+                 chain.values(0.9), chain.passage, chain.kemeny)
+        solved = counts["solve"]
+        again = (chain.stationary, chain.occupancy(0.9), chain.fundamental(0.9),
+                 chain.values(0.9), chain.passage, chain.kemeny)
+        assert counts["solve"] == solved == 4
+        assert counts["build"] == 1
+        assert all(a is b for a, b in zip(first, again))
+
+
+class TestViews:
+    def test_bound_report_fields_equal_their_views(self):
+        for mdp, pi_old, pi_new in random_triples(10, seed=11):
+            for g in VIEW_GAMMAS:
+                report = check_performance_bound(mdp, pi_old, pi_new, g)
+                kem = kemeny_constant(mdp, pi_new)
+                assert report.surrogate == surrogate_objective(mdp, pi_old, pi_new, g)
+                assert report.eps_gamma == epsilon_gamma(mdp, pi_old, pi_new, g)
+                assert report.kemeny_new == kem
+                assert report.xi_gamma == xi_gamma(g, kem)
+                assert report.actual_diff == (
+                    discounted_return(mdp, pi_new, g) - discounted_return(mdp, pi_old, g)
+                )
+
+    def test_analysis_fields_equal_their_views(self):
+        for mdp, pi, _ in random_triples(10, seed=12):
+            for g in VIEW_GAMMAS:
+                a = analyze_policy(mdp, pi, g)
+                v, q, adv = value_functions(mdp, pi, g)
+                assert a.eta_avg == average_reward(mdp, pi)
+                assert a.eta_disc == discounted_return(mdp, pi, g)
+                assert np.array_equal(a.d_stat.probs, stationary_distribution(mdp, pi).probs)
+                assert np.array_equal(
+                    a.d_disc.probs, discounted_state_distribution(mdp, pi, g).probs
+                )
+                assert np.array_equal(a.v, v)
+                assert np.array_equal(a.q, q)
+                assert np.array_equal(a.adv, adv)
+                assert np.array_equal(a.z, fundamental_matrix(mdp, pi, g))
+                assert np.array_equal(a.m, mean_first_passage(mdp, pi))
+                assert a.kemeny == kemeny_constant(mdp, pi)
+
+    def test_residuals_need_the_analysed_pair(self):
+        mdp, pi, other = random_triples(1, seed=13)[0]
+        analysis = analyze_policy(mdp, pi, 0.9)
+        with pytest.raises(ValueError):
+            analysis_residuals(mdp, other, analysis)
+
+
+class TestGuardsThroughCore:
+    @pytest.fixture
+    def stay(self):
+        # stay in both states: two recurrent classes
+        return TabularPolicy(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_multichain_raises(self, two_state, uniform_policy, stay, gamma):
+        with pytest.raises(NotErgodicError):
+            check_performance_bound(two_state, stay, uniform_policy, gamma)
+        with pytest.raises(NotErgodicError):
+            check_performance_bound(two_state, uniform_policy, stay, gamma)
+        with pytest.raises(NotErgodicError):
+            value_functions(two_state, stay, gamma)
+        with pytest.raises(NotErgodicError):
+            kemeny_constant(two_state, stay)
+
+    def test_misshaped_d0(self, two_state, uniform_policy):
+        new = TabularPolicy(np.array([[0.2, 0.8], [0.7, 0.3]]))
+        bad = np.array([1.0, 0.0, 0.0])
+        for g in (0.0, 0.5, 0.9):
+            with pytest.raises(ValueError):
+                check_performance_bound(two_state, uniform_policy, new, g, d0=bad)
+        # the start distribution is never read at discount one
+        check_performance_bound(two_state, uniform_policy, new, 1.0, d0=bad)

@@ -165,6 +165,19 @@ class TestRandomGeneration:
         np.testing.assert_allclose(pi.probs.sum(axis=1), np.ones(7), atol=1e-12)
 
 
+def reference_expected_kl(p1, p2, weights):
+    """The per-state loop `policy_distance` once ran, kept as its oracle."""
+    a, b = p1.probs, p2.probs
+    kl = np.zeros(p1.n_states)
+    for s in range(p1.n_states):
+        support = a[s] > 0.0
+        if np.any(b[s][support] == 0.0):
+            kl[s] = np.inf
+        else:
+            kl[s] = float(np.sum(a[s][support] * np.log(a[s][support] / b[s][support])))
+    return float(weights.probs @ kl) if np.all(np.isfinite(kl)) else float("inf")
+
+
 class TestPolicyDistance:
     def test_hand_worked_two_state_pair(self, uniform_policy):
         other = switch_policy(0.8, 0.2)
@@ -191,6 +204,38 @@ class TestPolicyDistance:
         half = StateDistribution(np.array([0.5, 0.5]))
         dist = policy_distance(uniform_policy, uniform_policy, half)
         assert dist.expected_kl == pytest.approx(0.0, abs=1e-12)
+
+    def test_kl_matches_reference_loop(self):
+        rng = np.random.default_rng(8)
+        n_inf = 0
+        for trial in range(200):
+            n_states, n_actions = int(rng.integers(1, 20)), int(rng.integers(1, 12))
+            a = rng.dirichlet(np.ones(n_actions), size=n_states)
+            b = rng.dirichlet(np.ones(n_actions), size=n_states)
+            if trial % 2:
+                # degenerate rows: zeros in both policies, some p1 mass off p2's support
+                a[rng.random(a.shape) < 0.3] = 0.0
+                b[rng.random(b.shape) < 0.2] = 0.0
+                for x in (a, b):
+                    x[x.sum(axis=1) == 0.0, -1] = 1.0
+                    x /= x.sum(axis=1, keepdims=True)
+            p1, p2 = TabularPolicy(a), TabularPolicy(b)
+            w = StateDistribution(rng.dirichlet(np.ones(n_states)))
+            got = policy_distance(p1, p2, w).expected_kl
+            want = reference_expected_kl(p1, p2, w)
+            if np.isinf(want):
+                n_inf += 1
+                assert got == np.inf
+            else:
+                # summing whole rows (zeros included) regroups numpy's pairwise
+                # sum, so a finite value may move by a few float64 ulps
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert 0 < n_inf < 100
+
+    def test_kl_infinite_even_at_zero_weight(self, uniform_policy):
+        off_support = TabularPolicy(np.array([[0.5, 0.5], [1.0, 0.0]]))
+        weights = StateDistribution(np.array([1.0, 0.0]))
+        assert policy_distance(uniform_policy, off_support, weights).expected_kl == np.inf
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
