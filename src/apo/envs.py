@@ -4,6 +4,9 @@ All environments here are continuing: `step` never signals termination, and
 training treats a rollout as one long chain.  Each environment owns an rng
 handed to it at construction; `spawn` produces an independent copy (fresh
 state, caller-supplied rng) so evaluation never perturbs a training env.
+A `StepResult` holds the next observation and the reward; a `TabularEnv`
+exposes its state as ``env.state`` and keeps its cumulative transition rows
+and rewards as Python lists, so a step is one `sample_index` draw.
 
 `make_two_loop` builds the standard criterion-separation MDP: a short
 self-loop at state 0 pays 0.22 per step, while the long loop 0 -> 1 -> 2 ->
@@ -17,7 +20,7 @@ under the average-reward criterion the long loop wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +31,12 @@ TWO_LOOP_SHORT = 0
 TWO_LOOP_LONG = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     """One transition; continuing setting, so there is no terminal flag."""
 
     next_observation: np.ndarray
     reward: float
-    info: dict = field(default_factory=dict)
 
 
 class TabularEnv:
@@ -48,8 +50,9 @@ class TabularEnv:
         self.obs_dim = mdp.n_states
         self.n_actions = mdp.n_actions
         self._eye = np.eye(mdp.n_states)
-        self._cum = np.cumsum(mdp.transition, axis=2)
-        self._cum_init = np.cumsum(mdp.init_dist)
+        self._cum = np.cumsum(mdp.transition, axis=2).tolist()
+        self._cum_init = np.cumsum(mdp.init_dist).tolist()
+        self._reward = mdp.reward.tolist()
         self.state = 0
         self.reset()
 
@@ -68,9 +71,9 @@ class TabularEnv:
         a = int(action)
         if not (0 <= a < self.n_actions):
             raise ValueError(f"action {action!r} outside [0, {self.n_actions})")
-        reward = float(self.mdp.reward[self.state, a])
-        self.state = sample_index(self._cum[self.state, a], self.rng.random())
-        return StepResult(self.observation(), reward, {"state": self.state})
+        s = self.state
+        self.state = sample_index(self._cum[s][a], self.rng.random())
+        return StepResult(self._eye[self.state], self._reward[s][a])
 
 
 class PendulumEnv:
@@ -129,7 +132,7 @@ class PendulumEnv:
         )
         self.theta_dot = min(max(self.theta_dot + accel * self.dt, -self.max_speed), self.max_speed)
         self.theta = self.theta + self.theta_dot * self.dt
-        return StepResult(self.observation(), -cost, {"wrapped_angle": angle})
+        return StepResult(self.observation(), -cost)
 
 
 def make_two_state() -> Mdp:

@@ -12,6 +12,7 @@ state is assumed to be folded into the expectation already.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -270,13 +271,16 @@ def random_policy(rng: np.random.Generator, n_states: int, n_actions: int) -> Ta
     return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
 
 
-def sample_index(cum: np.ndarray, u: float) -> int:
+def sample_index(cum: list[float], u: float) -> int:
     """Inverse-CDF draw: the first index whose cumulative probability exceeds ``u``.
 
+    ``cum`` is a list, which `bisect` searches far faster than numpy can.
     Rounding can leave the last entry of ``cum`` just below one, so a draw at
-    or above it is clamped to the last index instead of running off the end.
+    or above it is clamped to the first index whose cumulative value equals
+    the last: the last index of nonzero probability.
     """
-    return min(int(np.searchsorted(cum, u, side="right")), cum.shape[0] - 1)
+    i = bisect_right(cum, u)
+    return i if i < len(cum) else bisect_left(cum, cum[-1])
 
 
 class PolicyDistance(NamedTuple):

@@ -16,7 +16,8 @@ vector-Jacobian product that reuses its cached terms.
 
 Gradient dicts hold their keys in ``params.tensors`` order, and no returned
 array aliases a parameter, a cached activation or another gradient, so
-`clip_global_norm` may scale them in place.
+`clip_global_norm` may scale them in place.  Adam keeps each moment in one
+flat buffer and updates it in one pass over the concatenated gradients.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def sample_action(
     out = mlp_forward(params, obs)
     if params.head == "categorical":
         cum, _ = categorical_rows(out)
-        u = rng.random(out.shape[0])
-        actions = np.array([sample_index(row, x) for row, x in zip(cum, u)], dtype=np.int64)
+        u = rng.random(out.shape[0]).tolist()
+        actions = np.array([sample_index(c, x) for c, x in zip(cum.tolist(), u)], dtype=np.int64)
     elif params.head == "gaussian":
         actions = out + np.exp(params.tensors["log_std"]) * rng.standard_normal(out.shape)
     else:
@@ -262,11 +263,28 @@ def deterministic_action(params: MlpParams, obs: np.ndarray) -> np.ndarray:
 # Optimization
 
 
+def _flat_views(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One flat float64 copy of ``tensors`` and, per name, a view into it."""
+    flat = np.concatenate([np.ravel(x) for x in tensors.values()], dtype=np.float64)
+    views, start = {}, 0
+    for name, x in tensors.items():
+        views[name] = flat[start : start + x.size].reshape(x.shape)
+        start += x.size
+    return flat, views
+
+
 @dataclass
 class AdamState:
+    """Adam moments and step count; the entries of ``m`` and ``v`` are views
+    into one flat buffer each, which `adam_step` updates in place."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+
+    def __post_init__(self) -> None:
+        self._m, self.m = _flat_views(self.m)
+        self._v, self.v = _flat_views(self.v)
 
 
 def init_adam_state(params: MlpParams) -> AdamState:
@@ -295,20 +313,24 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for tensor {name!r}")
+    """One bias-corrected Adam update, in place, over the gradients
+    concatenated in ``state.m`` order; the same arithmetic per element as a
+    per-tensor update."""
+    g = np.concatenate([np.ravel(grads[name]) for name in state.m])
+    if not np.all(np.isfinite(g)):
+        bad = next(n for n in state.m if not np.all(np.isfinite(grads[n])))
+        raise ValueError(f"non-finite gradient for tensor {bad!r}")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for name, p in params.tensors.items():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * np.square(g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.add(beta1 * state._m, (1.0 - beta1) * g, out=state._m)
+    np.add(beta2 * state._v, (1.0 - beta2) * np.square(g), out=state._v)
+    update = lr * (state._m / c1) / (np.sqrt(state._v / c2) + eps)
+    start = 0
+    for name in state.m:
+        p = params.tensors[name]
+        p -= update[start : start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # ---------------------------------------------------------------------------

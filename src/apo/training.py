@@ -165,27 +165,30 @@ class NeuralActor:
 
 
 class TabularActor:
-    """Fixed tabular behavior policy over one-hot observations."""
+    """Fixed tabular behavior policy over one-hot observations, drawn from list
+    rows; an action of probability zero (log-probability -inf) is never drawn."""
 
     def __init__(self, policy: TabularPolicy):
         self.policy = policy
-        self._cum = np.cumsum(policy.probs, axis=1)
+        self._cum = np.cumsum(policy.probs, axis=1).tolist()
+        with np.errstate(divide="ignore"):
+            self._logp = np.log(policy.probs).tolist()
 
     def act(self, obs: np.ndarray, rng: np.random.Generator):
-        state = int(np.argmax(obs))
-        a = sample_index(self._cum[state], rng.random())
-        return a, float(np.log(self.policy.probs[state, a]))
+        s = int(obs.argmax())
+        a = sample_index(self._cum[s], rng.random())
+        return a, self._logp[s][a]
 
 
 class _PolicyTable:
     """Per-state rows of a frozen categorical policy on a `TabularEnv`.
 
-    A state's row (cumulative probabilities, log-probabilities and argmax of
-    every action) is built on the first visit, from the same (1, S) forward
-    on the env's one-hot row that the per-step path runs, so draws,
-    log-probabilities and greedy actions match that path bit for bit.  A
-    batched forward over all S one-hot rows differs in the last ulp, so it
-    is not used.  Valid only while the parameters do not change.
+    A state's row (cumulative probabilities and log-probabilities of every
+    action, as lists) is built on the first visit, from the same (1, S)
+    forward on the env's one-hot row that the per-step path runs, so draws
+    and log-probabilities match that path bit for bit.  A batched forward
+    over all S one-hot rows differs in the last ulp, so it is not used.
+    Valid only while the parameters do not change.
     """
 
     def __init__(self, params: MlpParams, env: TabularEnv):
@@ -193,19 +196,18 @@ class _PolicyTable:
         self.env = env
         self.rows: list = [None] * env.obs_dim
 
-    def row(self) -> tuple[np.ndarray, np.ndarray, int]:
+    def row(self) -> tuple[list[float], list[float]]:
         state = self.env.state
         row = self.rows[state]
         if row is None:
-            logits = mlp_forward(self.params, self.env.observation()[None])
-            cum, logp = categorical_rows(logits)
-            row = self.rows[state] = (cum[0], logp[0], int(np.argmax(logits[0])))
+            cum, logp = categorical_rows(mlp_forward(self.params, self.env.observation()[None]))
+            row = self.rows[state] = (cum[0].tolist(), logp[0].tolist())
         return row
 
     def act(self, obs: np.ndarray, rng: np.random.Generator):
-        cum, logp, _ = self.row()
+        cum, logp = self.row()
         a = sample_index(cum, rng.random())
-        return a, float(logp[a])
+        return a, logp[a]
 
 
 def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
@@ -221,31 +223,24 @@ def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> R
     if isinstance(env, TabularEnv) and isinstance(actor, NeuralActor):
         act = _PolicyTable(actor.params, env).act
     obs = env.observation()
-    obs_dim = obs.shape[0]
-    all_obs = np.empty((n_steps + 1, obs_dim))
-    rewards = np.empty(n_steps)
-    old_logp = np.empty(n_steps)
-    discrete = getattr(env, "discrete", True)
-    if discrete:
-        actions = np.empty(n_steps, dtype=np.int64)
-    else:
-        actions = np.empty((n_steps, env.action_dim))
-    for n in range(n_steps):
-        all_obs[n] = obs
+    all_obs, actions, rewards, old_logp = [obs], [], [], []
+    for _ in range(n_steps):
         action, logp = act(obs, rng)
         result = env.step(action)
-        actions[n] = action
-        rewards[n] = result.reward
-        old_logp[n] = logp
         obs = result.next_observation
-    all_obs[n_steps] = obs
+        all_obs.append(obs)
+        actions.append(action)
+        rewards.append(result.reward)
+        old_logp.append(logp)
+    all_obs = np.array(all_obs, dtype=np.float64)
     values = value_forward(value_params, all_obs)
+    discrete = getattr(env, "discrete", True)
     return RolloutBatch(
         obs=all_obs[:-1].copy(),
-        actions=actions,
-        rewards=rewards,
+        actions=np.array(actions, dtype=np.int64 if discrete else np.float64),
+        rewards=np.array(rewards, dtype=np.float64),
         next_obs=all_obs[1:].copy(),
-        old_log_prob=old_logp,
+        old_log_prob=np.array(old_logp, dtype=np.float64),
         value=values[:-1].copy(),
         next_value=values[1:].copy(),
     )
@@ -435,24 +430,29 @@ class TrainLog:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def evaluate(env, policy_params: MlpParams, horizon: int, episodes: int, rng) -> float:
+def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int, rng) -> float:
     """Mean reward per step over exploration-free fixed-horizon episodes.
 
     Each episode resets the given env with the evaluation rng and follows
-    the categorical argmax or the Gaussian mean.  On a `TabularEnv` the
-    argmax comes from a `_PolicyTable`, one forward per visited state.
+    the most probable action or the Gaussian mean.  On a `TabularEnv` it is
+    looked up per state, for a network from the (1, S) forward on each
+    state's one-hot row that the per-step path runs.
     """
-    table = _PolicyTable(policy_params, env) if isinstance(env, TabularEnv) else None
+    greedy = None
+    if isinstance(policy, TabularPolicy):
+        greedy = np.argmax(policy.probs, axis=1).tolist()
+    elif isinstance(env, TabularEnv):
+        greedy = [int(np.argmax(mlp_forward(policy, x[None]))) for x in np.eye(env.obs_dim)]
     per_episode = np.empty(episodes)
     for ep in range(episodes):
         obs = env.reset(rng)
         total = 0.0
         for _ in range(horizon):
-            if table is not None:
-                action = table.row()[2]
+            if greedy is not None:
+                action = greedy[env.state]
             else:
-                act = deterministic_action(policy_params, obs[None])
-                action = int(act[0]) if policy_params.head == "categorical" else act[0]
+                act = deterministic_action(policy, obs[None])
+                action = int(act[0]) if policy.head == "categorical" else act[0]
             result = env.step(action)
             total += result.reward
             obs = result.next_observation
@@ -639,20 +639,10 @@ def value_drift_experiment(
         eta_series[k - 1] = state.eta_hat
 
     eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
-    greedy = np.argmax(behavior.probs, axis=1)
-    per_episode = np.empty(eval_episodes)
-    for ep in range(eval_episodes):
-        obs = eval_env.reset(eval_rng)
-        total = 0.0
-        for _ in range(eval_horizon):
-            result = eval_env.step(int(greedy[int(np.argmax(obs))]))
-            total += result.reward
-            obs = result.next_observation
-        per_episode[ep] = total / eval_horizon
     return DriftResult(
         nu=nu,
         seed=seed,
         b_series=b_series,
         eta_series=eta_series,
-        final_eval_reward=float(per_episode.mean()),
+        final_eval_reward=evaluate(eval_env, behavior, eval_horizon, eval_episodes, eval_rng),
     )

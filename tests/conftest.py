@@ -39,6 +39,14 @@ class TopRng:
         return u if size is None else np.full(size, u)
 
 
+def trailing_zero_row() -> np.ndarray:
+    """A probability row whose cumulative sum stops at the largest double
+    below one, ``[0.395..., 0.988..., 1 - 2**-53, 1 - 2**-53]``, so that
+    `TopRng`'s draw lies past every entry, the last of which has probability
+    zero."""
+    return np.append(np.random.default_rng(0).dirichlet(np.ones(3)), 0.0)
+
+
 def finite_difference_max_rel_err(build_loss, params, h=1e-5):
     """Worst per-tensor relative gap between closed-form and central-difference gradients.
 

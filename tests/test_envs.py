@@ -20,7 +20,7 @@ from apo.envs import (
     make_two_state,
 )
 from apo.mdp import Mdp, random_ergodic_mdp, write_mdp
-from tests.conftest import TopRng, deterministic_policy
+from tests.conftest import TopRng, deterministic_policy, trailing_zero_row
 
 
 class TestTabularEnv:
@@ -37,7 +37,7 @@ class TestTabularEnv:
         states, rewards = [], []
         for _ in range(6):
             result = env.step(1)
-            states.append(result.info["state"])
+            states.append(env.state)
             rewards.append(result.reward)
         assert states == [1, 0, 1, 0, 1, 0]
         assert rewards == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
@@ -87,7 +87,8 @@ class TestTabularEnv:
                 counts = np.zeros(3)
                 for _ in range(n):
                     env.state = s
-                    counts[env.step(a).info["state"]] += 1
+                    env.step(a)
+                    counts[env.state] += 1
                 _, p_value = stats.chisquare(counts, n * mdp.transition[s, a])
                 assert p_value > 1e-6, f"transition row ({s}, {a}) off: p={p_value}"
 
@@ -104,6 +105,16 @@ class TestTabularEnv:
                     init_dist=mdp.transition[0, 0])
         np.testing.assert_array_equal(TabularEnv(start, TopRng()).reset(), np.eye(8)[7])
 
+    def test_draw_above_last_cumulative_skips_zero_probability_state(self):
+        row = trailing_zero_row()
+        mdp = Mdp(transition=np.tile(row, (4, 1, 1)), reward=np.zeros((4, 1)), init_dist=row)
+        env = TabularEnv(mdp, TopRng())
+        assert env.state == 2
+        env.state = 0
+        result = env.step(0)
+        assert env.state == 2
+        np.testing.assert_array_equal(result.next_observation, np.eye(4)[2])
+
     def test_spawn_does_not_disturb_parent(self, two_state):
         env_a = TabularEnv(two_state, np.random.default_rng(0))
         env_b = TabularEnv(two_state, np.random.default_rng(0))
@@ -112,7 +123,9 @@ class TestTabularEnv:
             child.step(1)
         rng = np.random.default_rng(9)
         for a in rng.integers(0, 2, size=50):
-            assert env_a.step(int(a)).info == env_b.step(int(a)).info
+            env_a.step(int(a))
+            env_b.step(int(a))
+            assert env_a.state == env_b.state
 
 
 class TestTwoLoop:
@@ -258,8 +271,8 @@ class TestMakeEnv:
     def test_handle_constructors(self):
         env = make_env("twostate", np.random.default_rng(0))
         env.state = 0
-        result = env.step(1)
-        assert result.info["state"] == 1
+        env.step(1)
+        assert env.state == 1
         pend = make_env("pendulum", np.random.default_rng(1))
         pend.reset()
         step = pend.step(0.5)

@@ -17,11 +17,13 @@ from apo.mdp import (
     random_policy,
     read_mdp,
     read_policy,
+    sample_index,
     validate_mdp,
     write_mdp,
     write_policy,
 )
 from apo.envs import make_two_state, switch_policy
+from tests.conftest import TopRng, trailing_zero_row
 
 
 class TestContainers:
@@ -305,3 +307,30 @@ class TestFileRoundTrip:
         path.write_text('{"weights": [[1.0]]}')
         with pytest.raises(MdpFileError, match="probs"):
             read_policy(path)
+
+
+class TestSampleIndex:
+    def test_matches_searchsorted_on_list_rows(self):
+        # reference: the array search over the same cumulative rows, wherever
+        # it lands inside the row
+        rng = np.random.default_rng(60)
+        probs = rng.dirichlet(np.ones(5), size=300)
+        probs[::2, 4] = 0.0
+        probs[::3, 0] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        cum = np.cumsum(probs, axis=1)
+        rows = cum.tolist()
+        draws = [0.0, float(np.nextafter(1.0, 0.0)), *rng.random(100_000).tolist()]
+        for k, u in enumerate(draws):
+            r = k % 300
+            ref = int(np.searchsorted(cum[r], u, side="right"))
+            got = sample_index(rows[r], u)
+            if ref < 5:
+                assert got == ref
+            assert probs[r, got] > 0.0
+
+    def test_draw_above_last_cumulative_skips_trailing_zero(self):
+        cum = np.cumsum(trailing_zero_row()).tolist()
+        top = TopRng().random()
+        assert cum[2] == cum[3] == top
+        assert sample_index(cum, top) == 2

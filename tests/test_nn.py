@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -301,6 +302,16 @@ class TestSampling:
         np.testing.assert_array_equal(actions, [6, 6, 6])
         np.testing.assert_allclose(logp, np.full(3, -math.log(7.0)), rtol=1e-15)
 
+    def test_draw_above_last_cumulative_skips_zero_probability_action(self):
+        # an eighth action whose probability underflows to zero: the largest
+        # draw must land on the last action of positive probability
+        params = init_mlp(np.random.default_rng(32), 2, 8, "categorical", hidden=())
+        params.tensors["w0"][:] = 0.0
+        params.tensors["b0"][7] = -1000.0
+        actions, logp = sample_action(params, np.zeros((3, 2)), TopRng())
+        np.testing.assert_array_equal(actions, [6, 6, 6])
+        np.testing.assert_allclose(logp, np.full(3, -math.log(7.0)), rtol=1e-15)
+
     def test_deterministic_actions(self):
         cat = init_mlp(np.random.default_rng(29), 2, 3, "categorical", hidden=(4,))
         obs = np.random.default_rng(30).normal(size=(6, 2))
@@ -345,7 +356,54 @@ class TestGradientChecks:
         assert finite_difference_max_rel_err(build_gauss, gauss) <= 1e-4
 
 
+def per_tensor_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference for `adam_step`: the per-tensor update that the flat one
+    replaced, with fresh moment arrays every step."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name, p in params.tensors.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * np.square(g)
+        m_hat = m[name] / c1
+        v_hat = v[name] / c2
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("head, out_dim", [("value", 1), ("gaussian", 2), ("categorical", 3)])
+    def test_flat_update_matches_per_tensor_reference(self, head, out_dim):
+        params = init_mlp(np.random.default_rng(80), 3, out_dim, head, hidden=(16, 8))
+        ref = copy.deepcopy(params)
+        m = {k: np.zeros_like(x) for k, x in ref.tensors.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.tensors.items()}
+        state = init_adam_state(params)
+        rng = np.random.default_rng(81)
+        for t in range(1, 51):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=x.shape)
+                     for k, x in ref.tensors.items()}
+            adam_step(params, {k: g.copy() for k, g in grads.items()}, state, 3e-3)
+            per_tensor_adam_step(ref, grads, m, v, t, 3e-3)
+        assert state.t == 50
+        for k in ref.tensors:
+            np.testing.assert_array_equal(params.tensors[k], ref.tensors[k])
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
+
+    def test_non_finite_gradient_named_before_any_update(self):
+        params = init_mlp(np.random.default_rng(82), 2, 1, "value", hidden=(4,))
+        state = init_adam_state(params)
+        adam_step(params, {k: np.ones_like(x) for k, x in params.tensors.items()}, state, 1e-3)
+        before = copy.deepcopy((params.tensors, state.m, state.v))
+        grads = {k: np.ones_like(x) for k, x in params.tensors.items()}
+        grads["b1"][0] = np.inf
+        with pytest.raises(ValueError, match="tensor 'b1'"):
+            adam_step(params, grads, state, 1e-3)
+        assert state.t == 1
+        for got, want in zip((params.tensors, state.m, state.v), before):
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
+
     def test_first_step_is_signed_learning_rate(self):
         params = init_mlp(np.random.default_rng(39), 1, 1, "value", hidden=())
         params.tensors["w0"][:] = 1.0
@@ -438,6 +496,36 @@ class TestCheckpoint:
             np.testing.assert_array_equal(nets["policy"].tensors[name], tensor)
         assert adams["policy"].t == 7
         np.testing.assert_array_equal(adams["policy"].m["w0"], np.full((3, 8), 0.25))
+
+    def test_save_load_continue_matches_uninterrupted(self, tmp_path):
+        obs = np.random.default_rng(83).normal(size=(32, 3))
+        targets = np.random.default_rng(84).normal(size=32)
+        actions = np.random.default_rng(85).normal(size=(32, 2))
+
+        def fresh():
+            nets = {"policy": init_mlp(np.random.default_rng(86), 3, 2, "gaussian", (8,)),
+                    "value": init_mlp(np.random.default_rng(87), 3, 1, "value", (8,))}
+            return nets, {k: init_adam_state(p) for k, p in nets.items()}
+
+        def run(nets, adams, steps):
+            for _ in range(steps):
+                v, vjp = value_vjp(nets["value"], obs)
+                adam_step(nets["value"], vjp((v - targets) / v.size), adams["value"], 1e-2)
+                logp, vjp = policy_log_prob_vjp(nets["policy"], obs, actions)
+                adam_step(nets["policy"], vjp(np.full(logp.size, -1.0 / logp.size)),
+                          adams["policy"], 1e-2)
+
+        whole = fresh()
+        run(*whole, 20)
+        half = fresh()
+        run(*half, 10)
+        save_checkpoint(tmp_path / "half.npz", *half)
+        resumed = load_checkpoint(tmp_path / "half.npz")
+        run(*resumed, 10)
+        save_checkpoint(tmp_path / "whole.npz", *whole)
+        save_checkpoint(tmp_path / "resumed.npz", *resumed)
+        assert resumed[1]["policy"].t == 20
+        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
 
     def test_round_trip_without_adam(self, tmp_path):
         value = init_mlp(np.random.default_rng(47), 2, 1, "value", hidden=(4,))

@@ -1,6 +1,9 @@
 """Tests for rollout collection, the update rules, and the training loops."""
 
+import copy
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ from apo.training import (
     value_loss,
 )
 
-from tests.conftest import TopRng, finite_difference_max_rel_err
+from tests.conftest import TopRng, finite_difference_max_rel_err, trailing_zero_row
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -94,6 +97,70 @@ def per_step_rollout(env, params, value, n_steps, rng):
     all_obs = np.array(all_obs)
     values = value_forward(value, all_obs)
     return all_obs, np.array(actions), np.array(rewards), np.array(logps), values
+
+
+def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng) -> RolloutBatch:
+    """Reference for `collect_rollout` with a `TabularActor` on a `TabularEnv`:
+    the array-row loop that list rows replaced.  Each draw is a clamped
+    ``np.searchsorted`` over a cumulative numpy row, the state is read back
+    with ``np.argmax(obs)``, and the log-probability is a scalar ``np.log``."""
+    cum_env = np.cumsum(mdp.transition, axis=2)
+    cum_pi = np.cumsum(policy.probs, axis=1)
+    eye = np.eye(mdp.n_states)
+    obs = eye[state]
+    all_obs, actions, rewards, logps = [obs], [], [], []
+    for _ in range(n_steps):
+        s = int(np.argmax(obs))
+        u = rng.random()
+        a = min(int(np.searchsorted(cum_pi[s], u, side="right")), mdp.n_actions - 1)
+        logps.append(float(np.log(policy.probs[s, a])))
+        rewards.append(float(mdp.reward[s, a]))
+        u = env_rng.random()
+        nxt = min(int(np.searchsorted(cum_env[s, a], u, side="right")), mdp.n_states - 1)
+        obs = eye[nxt]
+        all_obs.append(obs)
+        actions.append(a)
+    all_obs = np.array(all_obs)
+    values = value_forward(value, all_obs)
+    return RolloutBatch(
+        obs=all_obs[:-1],
+        actions=np.array(actions, dtype=np.int64),
+        rewards=np.array(rewards),
+        next_obs=all_obs[1:],
+        old_log_prob=np.array(logps),
+        value=values[:-1],
+        next_value=values[1:],
+    )
+
+
+class FixedRng:
+    """Stub generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def tabular_case(name: str) -> tuple[Mdp, TabularPolicy]:
+    """An MDP and a behavior policy; the twoloop and random8-zeros policies
+    put probability zero on some actions, the last action among them, and
+    random64 has 512 distinct log-probabilities."""
+    if name == "twostate":
+        return make_two_state(), switch_policy(0.3, 0.8)
+    if name == "twoloop":
+        return make_two_loop(), TabularPolicy(
+            np.array([[0.6, 0.4], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
+    if name == "random64":
+        mdp = random_ergodic_mdp(np.random.default_rng(1), 64, 8)
+        return mdp, TabularPolicy(np.random.default_rng(62).dirichlet(np.ones(8), size=64))
+    probs = np.random.default_rng(62).dirichlet(np.ones(4), size=8)
+    if name == "random8-zeros":
+        probs[::2, 3] = 0.0
+        probs[1::3, 0] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+    return random_mdp_8(), TabularPolicy(probs)
 
 
 def manual_batch(states, rewards, v, eta_hat=None, actions=None):
@@ -169,6 +236,20 @@ class TestActors:
             a, logp = actor.act(obs, rng)
             assert logp == float(np.log(policy.probs[s, a]))
 
+    def test_tabular_actor_log_probs_match_scalar_log(self):
+        # every action of 400 states, half of them with one action near
+        # probability one, drawn at the lower edge of its cumulative interval
+        rng = np.random.default_rng(66)
+        probs = rng.dirichlet(np.full(10, 0.3), size=400)
+        probs[::2] *= rng.uniform(0.0, 0.05, size=(200, 1))
+        probs[::2, 0] = 1.0 - probs[::2, 1:].sum(axis=1)
+        actor = TabularActor(TabularPolicy(probs))
+        cum = np.cumsum(probs, axis=1)
+        for s in range(400):
+            for a in range(10):
+                u = 0.0 if a == 0 else float(cum[s, a - 1])
+                assert actor.act(np.eye(400)[s], FixedRng(u)) == (a, float(np.log(probs[s, a])))
+
     def test_tabular_actor_action_frequencies(self):
         actor = TabularActor(switch_policy(0.8, 0.3))
         rng = np.random.default_rng(1)
@@ -182,6 +263,12 @@ class TestActors:
         a, logp = TabularActor(policy).act(np.eye(8)[0], TopRng())
         assert a == 7
         assert logp == float(np.log(policy.probs[0, 7]))
+
+    def test_tabular_actor_draw_above_last_cumulative_skips_zero_probability(self):
+        policy = TabularPolicy(np.tile(trailing_zero_row(), (2, 1)))
+        a, logp = TabularActor(policy).act(np.eye(2)[1], TopRng())
+        assert a == 2
+        assert logp == float(np.log(policy.probs[1, 2]))
 
     def test_neural_actor_returns_consistent_log_prob(self):
         params = init_mlp(np.random.default_rng(2), 2, 2, "categorical", (8,))
@@ -293,6 +380,30 @@ class TestCollectRollout:
                                 TopRng())
         np.testing.assert_array_equal(batch.actions, np.full(5, 6))
         np.testing.assert_allclose(batch.old_log_prob, np.full(5, -math.log(7.0)), rtol=1e-15)
+
+    @pytest.mark.parametrize("name", ["twostate", "twoloop", "random8", "random8-zeros",
+                                      "random64"])
+    def test_tabular_actor_matches_array_row_loop(self, name):
+        mdp, policy = tabular_case(name)
+        value = init_mlp(np.random.default_rng(63), mdp.n_states, 1, "value", (8,))
+        env = TabularEnv(mdp, np.random.default_rng(64))
+        env_rng, state = copy.deepcopy(env.rng), env.state
+        rng, rng_ref = np.random.default_rng(65), np.random.default_rng(65)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = collect_rollout(env, TabularActor(policy), value, 4000, rng)
+            ref = array_row_rollout(mdp, policy, value, state, 4000, env_rng, rng_ref)
+        for f in fields(RolloutBatch):
+            got, want = getattr(batch, f.name), getattr(ref, f.name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+        assert np.all(np.isfinite(batch.old_log_prob))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert env.rng.bit_generator.state == env_rng.bit_generator.state
+        assert env.state == int(np.argmax(ref.next_obs[-1]))
 
     def test_gaussian_rollout_on_pendulum(self):
         env = seeded_env("pendulum", 0)
@@ -783,6 +894,29 @@ class TestValueDrift:
         assert res.eta_series.shape == (5,)
         assert np.all(np.isfinite(res.b_series))
         assert 0.0 <= res.final_eval_reward <= 1.0
+
+    def test_final_eval_matches_greedy_hand_loop(self):
+        # reference: the evaluation loop the experiment used to carry, which
+        # followed the behavior policy's argmax from a spawned env
+        mdp, behavior = tabular_case("random8")
+        res = value_drift_experiment(TabularEnv(mdp, np.random.default_rng(0)), behavior,
+                                     0.3, iterations=2, rollout_len=32, minibatch=32,
+                                     hidden=(4,), seed=6, eval_horizon=60, eval_episodes=3)
+        streams = np.random.SeedSequence(6).spawn(4)
+        eval_env = TabularEnv(mdp, np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
+        eval_rng = np.random.default_rng(streams[EVAL_STREAM])
+        greedy = np.argmax(behavior.probs, axis=1)
+        per_episode = np.empty(3)
+        for ep in range(3):
+            obs = eval_env.reset(eval_rng)
+            total = 0.0
+            for _ in range(60):
+                result = eval_env.step(int(greedy[int(np.argmax(obs))]))
+                total += result.reward
+                obs = result.next_observation
+            per_episode[ep] = total / 60
+        assert len(set(greedy.tolist())) > 1
+        assert res.final_eval_reward == float(per_episode.mean())
 
     def test_mean_abs_b_window(self):
         from apo.training import DriftResult

@@ -1,0 +1,119 @@
+"""Print one sha256 per output of a fixed set of `apo` CLI calls.
+
+Run it on two checkouts and `diff` the two listings to see whether a change
+kept logs, checkpoints and reports byte-identical:
+
+    python3 tools/log_digest.py > after.txt
+    python3 tools/log_digest.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+Each call runs `apo.cli.main` in its own interpreter, with ``PYTHONPATH``
+set to ``--src`` (default: this checkout's ``src``) and one BLAS thread, in
+a temporary directory.  The set:
+
+- ``train`` on twostate (seed 3), twoloop with apo and with ppo at gamma 0.9
+  (seed 11) and pendulum (seed 5), each 6 iterations with an evaluation
+  every 3: the log CSV, the checkpoint and the printed summary;
+- ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations;
+- ``verify`` at its default flags;
+- ``analyze`` of a seeded 12-state, 4-action MDP under a seeded policy.
+
+Every listed output is hashed, the printed lines included; a call that
+exits non-zero stops the run.  It takes about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+RUNNER = "import sys; from apo.cli import main; sys.exit(main(sys.argv[1:]))"
+SHORT_TRAIN = {"iterations": 6, "eval_every": 3}
+
+# (name, `apo train` flags other than --config and --out)
+TRAIN_RUNS = [
+    ("train-twostate-s3", ["--env", "twostate", "--seed", "3"]),
+    ("train-twoloop-apo-s11", ["--env", "twoloop", "--algo", "apo", "--seed", "11"]),
+    ("train-twoloop-ppo0.9-s11",
+     ["--env", "twoloop", "--algo", "ppo", "--gamma", "0.9", "--seed", "11"]),
+    ("train-pendulum-s5", ["--env", "pendulum", "--seed", "5"]),
+]
+
+
+def write_analyze_inputs(work: Path) -> tuple[Path, Path]:
+    """A 12-state, 4-action MDP with every transition positive, and a policy."""
+    rng = np.random.default_rng(12)
+    s, a = 12, 4
+    mdp = {
+        "n_states": s,
+        "n_actions": a,
+        "transition": rng.dirichlet(np.ones(s), size=(s, a)).tolist(),
+        "reward": rng.uniform(-1.0, 1.0, size=(s, a)).tolist(),
+        "init_dist": np.full(s, 1.0 / s).tolist(),
+    }
+    policy = {"probs": rng.dirichlet(np.ones(a), size=s).tolist()}
+    mdp_path, policy_path = work / "mdp.json", work / "policy.json"
+    mdp_path.write_text(json.dumps(mdp))
+    policy_path.write_text(json.dumps(policy))
+    return mdp_path, policy_path
+
+
+def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
+    config = work / "short.json"
+    config.write_text(json.dumps(SHORT_TRAIN))
+    out = []
+    for name, argv in TRAIN_RUNS:
+        log = work / f"{name}.csv"
+        out.append((name, ["train", *argv, "--config", str(config), "--out", str(log)],
+                    [log, log.with_suffix(".ckpt.npz")]))
+    ablate = work / "ablate-nu.csv"
+    out.append(("ablate-nu", ["ablate-nu", "--nus", "0,1", "--seeds", "0,1",
+                              "--iterations", "100", "--out", str(ablate)], [ablate]))
+    verify = work / "verify.csv"
+    out.append(("verify", ["verify", "--out", str(verify)], [verify]))
+    mdp_path, policy_path = write_analyze_inputs(work)
+    for gamma in ("1", "0.9"):
+        report = work / f"analyze-g{gamma}.json"
+        out.append((f"analyze-g{gamma}", ["analyze", "--mdp", str(mdp_path), "--policy",
+                                          str(policy_path), "--gamma", gamma,
+                                          "--out", str(report)], [report]))
+    return out
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the apo package to run")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="apo-digest-") as tmp:
+        work = Path(tmp)
+        for name, argv_, outputs in calls(work):
+            proc = subprocess.run([sys.executable, "-c", RUNNER, *argv_], cwd=work, env=env,
+                                  capture_output=True)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr.decode(errors="replace"))
+                print(f"{name}: exit code {proc.returncode}", file=sys.stderr)
+                return 1
+            # printed lines name the temporary directory; hash them without it
+            print(f"{digest(proc.stdout.replace(tmp.encode(), b'<tmp>'))}  {name}.stdout")
+            for path in outputs:
+                print(f"{digest(path.read_bytes())}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
