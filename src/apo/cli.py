@@ -6,13 +6,14 @@ checks every bound, and writes a CSV; ``train`` runs the average-reward
 algorithm or the discounted baseline on a named environment; ``ablate-nu``
 runs the value-drift experiment over a grid of constraint coefficients.
 
-Exit codes: 0 on success, 1 on input validation failures, 2 when ``verify``
-finds a bound violation.
+Exit codes: 0 on success, 1 on input validation failures and on a
+non-finite loss, 2 when ``verify`` finds a bound violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from apo.analysis import analysis_residuals, analyze_policy
-from apo.bounds import check_distribution_identity, check_performance_bound
+from apo.bounds import BoundReport, check_distribution_identity, check_performance_bound
 from apo.envs import make_env
 from apo.mdp import (
     MAX_STATES,
@@ -39,30 +40,16 @@ from apo.training import (
     ENV_STREAM,
     NonFiniteLossError,
     TrainConfig,
+    TrainerState,
     train,
     value_drift_experiment,
 )
 
-VERIFY_COLUMNS = [
-    "mdp_seed",
-    "policy_seed_old",
-    "policy_seed_new",
-    "gamma",
-    "actual_diff",
-    "surrogate",
-    "eps_gamma",
-    "xi_gamma",
-    "kemeny_new",
-    "exp_policy_tv",
-    "dist_tv",
-    "lower",
-    "upper",
-    "holds_lower",
-    "holds_upper",
-    "holds_prop1",
-    "holds_prop2",
-    "lemma3_residual",
-]
+# Every `BoundReport` field but the difference-formula residual, which the
+# summary line reports as a maximum instead.
+REPORT_COLUMNS = [f.name for f in dataclasses.fields(BoundReport) if f.name != "pdf_residual"]
+VERIFY_COLUMNS = ["mdp_seed", "policy_seed_old", "policy_seed_new", *REPORT_COLUMNS,
+                  "lemma3_residual"]
 
 
 def _fail(kind: str, detail) -> int:
@@ -139,28 +126,8 @@ def cmd_verify(args) -> int:
                 violations += 1
             max_pdf = max(max_pdf, report.pdf_residual)
             max_lemma3 = max(max_lemma3, lemma3)
-            rows.append(
-                [
-                    i,
-                    seed_old,
-                    seed_new,
-                    repr(gamma),
-                    repr(report.actual_diff),
-                    repr(report.surrogate),
-                    repr(report.eps_gamma),
-                    repr(report.xi_gamma),
-                    repr(report.kemeny_new),
-                    repr(report.exp_policy_tv),
-                    repr(report.dist_tv),
-                    repr(report.lower),
-                    repr(report.upper),
-                    report.holds_lower,
-                    report.holds_upper,
-                    report.holds_prop1,
-                    report.holds_prop2,
-                    repr(lemma3),
-                ]
-            )
+            rows.append([i, seed_old, seed_new,
+                         *(repr(getattr(report, c)) for c in REPORT_COLUMNS), repr(lemma3)])
     lines = [",".join(VERIFY_COLUMNS)]
     lines.extend(",".join(str(x) for x in row) for row in rows)
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -190,6 +157,14 @@ def _load_config(args) -> TrainConfig:
     return config
 
 
+def _save_state(path: Path, state: TrainerState) -> None:
+    save_checkpoint(
+        path,
+        {"policy": state.policy, "value": state.value},
+        {"policy": state.policy_adam, "value": state.value_adam},
+    )
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
     env_stream = np.random.SeedSequence(config.seed).spawn(4)[ENV_STREAM]
@@ -199,19 +174,11 @@ def cmd_train(args) -> int:
         log = train(env, config)
     except NonFiniteLossError as exc:
         dump = out.with_suffix(".dump.npz")
-        save_checkpoint(
-            dump,
-            {"policy": exc.state.policy, "value": exc.state.value},
-            {"policy": exc.state.policy_adam, "value": exc.state.value_adam},
-        )
+        _save_state(dump, exc.state)
         return _fail("non-finite-loss", {"message": str(exc), "state_dump": str(dump)})
     log.write_csv(out)
     ckpt = out.with_suffix(".ckpt.npz")
-    save_checkpoint(
-        ckpt,
-        {"policy": log.state.policy, "value": log.state.value},
-        {"policy": log.state.policy_adam, "value": log.state.value_adam},
-    )
+    _save_state(ckpt, log.state)
     final_eval = log.rows[-1].eval_avg_reward
     print(f"train: {config.algo} on {args.env}, final eval {final_eval!r}; wrote {out} and {ckpt}")
     return 0
@@ -302,6 +269,8 @@ def main(argv=None) -> int:
         return _fail("not-ergodic", str(exc))
     except ValueError as exc:
         return _fail("invalid-input", str(exc))
+    except NonFiniteLossError as exc:
+        return _fail("non-finite-loss", {"message": str(exc)})
 
 
 if __name__ == "__main__":

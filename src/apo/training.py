@@ -15,6 +15,12 @@ The baseline path is the same loop with discounted targets
 ``r + g V(s')``, residual decay ``g * lam``, and no running estimates.
 Both paths share one parameterized code path, so substituting discounted
 targets and ``nu = 0`` into the average-reward path *is* the baseline.
+The value-drift experiment (the ``nu`` ablation) is the average-reward
+loop without the policy step, on a `TrainConfig` validated like `train`'s.
+
+On a `TabularEnv` every fixed policy acts through one per-state table,
+`TabularActor`: the drift experiment's behavior policy, the policy network
+while one rollout runs, and the greedy actions `evaluate` follows.
 
 Randomness: a master seed spawns four child streams via
 ``np.random.SeedSequence(seed).spawn(4)`` in the order (environment,
@@ -26,6 +32,7 @@ other three.  Same seed, same everything, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -61,6 +68,15 @@ class NonFiniteLossError(RuntimeError):
         self.state = state
 
 
+_INT_FIELDS = ("iterations", "rollout_len", "epochs", "minibatch", "seed",
+               "eval_every", "eval_horizon", "eval_episodes")
+_REAL_FIELDS = ("alpha", "beta", "lam", "nu", "gamma", "clip_eps", "grad_clip")
+
+
+def _is_a(kind, x) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; defaults are the small-environment settings."""
@@ -84,27 +100,38 @@ class TrainConfig:
     eval_episodes: int = 10
 
     def validate(self) -> None:
+        wrong = [f"{n} must be an integer, got {getattr(self, n)!r}"
+                 for n in _INT_FIELDS if not _is_a(numbers.Integral, getattr(self, n))]
+        wrong += [f"{n} must be a real number, got {getattr(self, n)!r}"
+                  for n in _REAL_FIELDS if not _is_a(numbers.Real, getattr(self, n))]
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(_is_a(numbers.Integral, h) for h in self.hidden)):
+            wrong.append(f"hidden must be a list of integers, got {self.hidden!r}")
+        if wrong:
+            raise ValueError("; ".join(wrong))
         problems = []
         if self.algo not in ("apo", "ppo"):
             problems.append(f"algo must be 'apo' or 'ppo', got {self.algo!r}")
+        # every range below is written so that NaN fails it
         if not (0.0 < self.alpha <= 1.0):
             problems.append(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.beta <= 0.0:
-            problems.append(f"beta must be positive, got {self.beta}")
+        if not (0.0 < self.beta < math.inf):
+            problems.append(f"beta must be positive and finite, got {self.beta}")
         if not (0.0 <= self.lam <= 1.0):
             problems.append(f"lam must be in [0, 1], got {self.lam}")
-        if self.nu < 0.0:
-            problems.append(f"nu must be nonnegative, got {self.nu}")
+        if not (0.0 <= self.nu < math.inf):
+            problems.append(f"nu must be nonnegative and finite, got {self.nu}")
         if not (0.0 < self.gamma < 1.0):
             problems.append(f"gamma must be in (0, 1), got {self.gamma}")
         if not (0.0 < self.clip_eps < 1.0):
             problems.append(f"clip_eps must be in (0, 1), got {self.clip_eps}")
-        for name in ("iterations", "rollout_len", "epochs", "minibatch"):
+        for name in ("iterations", "rollout_len", "epochs", "minibatch",
+                     "eval_horizon", "eval_episodes"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be positive")
         if self.minibatch > self.rollout_len:
             problems.append("minibatch cannot exceed rollout_len")
-        if self.grad_clip <= 0.0:
+        if not (self.grad_clip > 0.0):
             problems.append(f"grad_clip must be positive, got {self.grad_clip}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -123,9 +150,12 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
-    policy: MlpParams
+    """What training changes; ``policy`` and ``policy_adam`` are None in the
+    value-drift experiment, which trains no policy."""
+
+    policy: MlpParams | None
     value: MlpParams
-    policy_adam: AdamState
+    policy_adam: AdamState | None
     value_adam: AdamState
     eta_hat: float = 0.0
     b: float = 0.0
@@ -144,7 +174,6 @@ class RolloutBatch:
     obs: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_obs: np.ndarray
     old_log_prob: np.ndarray
     value: np.ndarray
     next_value: np.ndarray
@@ -165,67 +194,57 @@ class NeuralActor:
 
 
 class TabularActor:
-    """Fixed tabular behavior policy over one-hot observations, drawn from list
-    rows; an action of probability zero (log-probability -inf) is never drawn."""
+    """Per-state table of a fixed policy on a `TabularEnv`; `act` takes the
+    state index.  An action of probability zero is never drawn.
 
-    def __init__(self, policy: TabularPolicy):
-        self.policy = policy
-        self._cum = np.cumsum(policy.probs, axis=1).tolist()
-        with np.errstate(divide="ignore"):
-            self._logp = np.log(policy.probs).tolist()
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        s = int(obs.argmax())
-        a = sample_index(self._cum[s], rng.random())
-        return a, self._logp[s][a]
-
-
-class _PolicyTable:
-    """Per-state rows of a frozen categorical policy on a `TabularEnv`.
-
-    A state's row (cumulative probabilities and log-probabilities of every
-    action, as lists) is built on the first visit, from the same (1, S)
-    forward on the env's one-hot row that the per-step path runs, so draws
-    and log-probabilities match that path bit for bit.  A batched forward
-    over all S one-hot rows differs in the last ulp, so it is not used.
-    Valid only while the parameters do not change.
+    ``policy`` is a `TabularPolicy` or a categorical `MlpParams`, whose
+    parameters must not change while the table is in use.  A network's rows
+    come from the (1, S) forward on each state's one-hot row, the forward
+    the per-step path runs, so draws and log-probabilities match that path
+    bit for bit (a batched forward over all S rows differs in the last ulp).
+    ``greedy`` is each state's most probable action, read from the
+    probabilities or the logits: log-probabilities of a near-tie can round
+    equal.
     """
 
-    def __init__(self, params: MlpParams, env: TabularEnv):
-        self.params = params
-        self.env = env
-        self.rows: list = [None] * env.obs_dim
+    def __init__(self, policy: TabularPolicy | MlpParams):
+        if isinstance(policy, TabularPolicy):
+            self._cum = np.cumsum(policy.probs, axis=1).tolist()
+            with np.errstate(divide="ignore"):
+                self._logp = np.log(policy.probs).tolist()
+            self.greedy = np.argmax(policy.probs, axis=1).tolist()
+            return
+        self._cum, self._logp, self.greedy = [], [], []
+        for x in np.eye(policy.in_dim):
+            logits = mlp_forward(policy, x[None])
+            cum, logp = categorical_rows(logits)
+            self._cum.append(cum[0].tolist())
+            self._logp.append(logp[0].tolist())
+            self.greedy.append(int(np.argmax(logits)))
 
-    def row(self) -> tuple[list[float], list[float]]:
-        state = self.env.state
-        row = self.rows[state]
-        if row is None:
-            cum, logp = categorical_rows(mlp_forward(self.params, self.env.observation()[None]))
-            row = self.rows[state] = (cum[0].tolist(), logp[0].tolist())
-        return row
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        cum, logp = self.row()
-        a = sample_index(cum, rng.random())
-        return a, logp[a]
+    def act(self, s: int, rng: np.random.Generator):
+        a = sample_index(self._cum[s], rng.random())
+        return a, self._logp[s][a]
 
 
 def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
     """Step the env ``n_steps`` times from its current state (no reset).
 
-    A neural actor on a `TabularEnv` acts through a `_PolicyTable` built for
-    this call, since the parameters are frozen while it runs.  Values for
-    all visited states (including the state after the last step) come from
-    one batched critic pass at the current parameters, so ``next_value[n]``
-    is exactly ``value[n + 1]`` for all but the last entry.
+    On a `TabularEnv` the actor acts on ``env.state``, and a neural actor
+    acts through a `TabularActor` built for this call, since the parameters
+    are frozen while it runs; elsewhere the actor acts on the observation.
+    Values for all visited states (including the state after the last step)
+    come from one batched critic pass at the current parameters, so
+    ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
     """
+    tabular = isinstance(env, TabularEnv)
+    if tabular and isinstance(actor, NeuralActor):
+        actor = TabularActor(actor.params)
     act = actor.act
-    if isinstance(env, TabularEnv) and isinstance(actor, NeuralActor):
-        act = _PolicyTable(actor.params, env).act
     obs = env.observation()
     all_obs, actions, rewards, old_logp = [obs], [], [], []
     for _ in range(n_steps):
-        action, logp = act(obs, rng)
+        action, logp = act(env.state if tabular else obs, rng)
         result = env.step(action)
         obs = result.next_observation
         all_obs.append(obs)
@@ -239,7 +258,6 @@ def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> R
         obs=all_obs[:-1].copy(),
         actions=np.array(actions, dtype=np.int64 if discrete else np.float64),
         rewards=np.array(rewards, dtype=np.float64),
-        next_obs=all_obs[1:].copy(),
         old_log_prob=np.array(old_logp, dtype=np.float64),
         value=values[:-1].copy(),
         next_value=values[1:].copy(),
@@ -375,15 +393,16 @@ def _sgd_epochs(
     build_loss,
     params: MlpParams,
     adam: AdamState,
-    n_samples: int,
     config: TrainConfig,
     rng: np.random.Generator,
     what: str,
     state: TrainerState,
 ) -> None:
+    """``config.epochs`` passes of Adam over shuffled minibatches of the
+    ``config.rollout_len`` samples of one batch."""
     for _ in range(config.epochs):
-        perm = rng.permutation(n_samples)
-        for start in range(0, n_samples, config.minibatch):
+        perm = rng.permutation(config.rollout_len)
+        for start in range(0, config.rollout_len, config.minibatch):
             idx = perm[start : start + config.minibatch]
             loss, grads = build_loss(idx)
             _check_finite(loss, what, state)
@@ -435,14 +454,9 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
 
     Each episode resets the given env with the evaluation rng and follows
     the most probable action or the Gaussian mean.  On a `TabularEnv` it is
-    looked up per state, for a network from the (1, S) forward on each
-    state's one-hot row that the per-step path runs.
+    looked up per state in `TabularActor.greedy`.
     """
-    greedy = None
-    if isinstance(policy, TabularPolicy):
-        greedy = np.argmax(policy.probs, axis=1).tolist()
-    elif isinstance(env, TabularEnv):
-        greedy = [int(np.argmax(mlp_forward(policy, x[None]))) for x in np.eye(env.obs_dim)]
+    greedy = TabularActor(policy).greedy if isinstance(env, TabularEnv) else None
     per_episode = np.empty(episodes)
     for ep in range(episodes):
         obs = env.reset(rng)
@@ -451,8 +465,7 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
             if greedy is not None:
                 action = greedy[env.state]
             else:
-                act = deterministic_action(policy, obs[None])
-                action = int(act[0]) if policy.head == "categorical" else act[0]
+                action = deterministic_action(policy, obs[None])[0]
             result = env.step(action)
             total += result.reward
             obs = result.next_observation
@@ -509,7 +522,6 @@ def train(env, config: TrainConfig) -> TrainLog:
             lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
             state.policy,
             state.policy_adam,
-            config.rollout_len,
             config,
             sample_rng,
             "policy loss",
@@ -519,7 +531,6 @@ def train(env, config: TrainConfig) -> TrainLog:
             lambda idx: value_loss(state.value, batch, eta, b, nu, discount, idx),
             state.value,
             state.value_adam,
-            config.rollout_len,
             config,
             sample_rng,
             "value loss",
@@ -582,12 +593,8 @@ def value_drift_experiment(
     nu: float,
     iterations: int = 500,
     rollout_len: int = 256,
-    alpha: float = 0.1,
-    lr: float = 3e-4,
-    epochs: int = 10,
     minibatch: int = 256,
     hidden: tuple[int, ...] = (64, 64),
-    grad_clip: float = 10.0,
     seed: int = 0,
     eval_horizon: int = 1000,
     eval_episodes: int = 10,
@@ -597,39 +604,38 @@ def value_drift_experiment(
     Isolates the average-value drift: the policy never updates, only the
     critic chases the differential targets.  With ``nu = 0`` nothing anchors
     the critic mean, so the running average-value estimate ``b`` wanders;
-    larger ``nu`` pulls it back toward zero.  Returns the full ``b`` series
-    plus a deterministic (argmax) evaluation of the behavior policy.
+    larger ``nu`` pulls it back toward zero.  Every other hyperparameter is
+    `TrainConfig`'s default, and the config is validated like `train`'s.
+    Returns the full ``b`` series plus a deterministic (argmax) evaluation
+    of the behavior policy.
     """
+    config = TrainConfig(
+        nu=nu, iterations=iterations, rollout_len=rollout_len,
+        minibatch=min(minibatch, rollout_len), hidden=tuple(hidden), seed=seed,
+        eval_horizon=eval_horizon, eval_episodes=eval_episodes,
+    )
+    config.validate()
     streams = np.random.SeedSequence(seed).spawn(4)
     init_rng = np.random.default_rng(streams[INIT_STREAM])
     sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
     eval_rng = np.random.default_rng(streams[EVAL_STREAM])
 
-    value = init_mlp(init_rng, env.obs_dim, 1, "value", hidden)
-    state = TrainerState(
-        policy=value,  # placeholder; no policy is trained here
-        value=value,
-        policy_adam=init_adam_state(value),
-        value_adam=init_adam_state(value),
-    )
+    value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
+    state = TrainerState(policy=None, value=value, policy_adam=None,
+                         value_adam=init_adam_state(value))
     actor = TabularActor(behavior)
-    config = TrainConfig(
-        beta=lr, epochs=epochs, minibatch=min(minibatch, rollout_len),
-        rollout_len=rollout_len, grad_clip=grad_clip, hidden=tuple(hidden), seed=seed,
-    )
     b_series = np.empty(iterations)
     eta_series = np.empty(iterations)
     env.reset()
     for k in range(1, iterations + 1):
         state.iteration = k
         batch = collect_rollout(env, actor, value, rollout_len, sample_rng)
-        update_eta_hat(state, batch, alpha)
-        update_b(state, batch, alpha)
+        update_eta_hat(state, batch, config.alpha)
+        update_b(state, batch, config.alpha)
         _sgd_epochs(
             lambda idx: value_loss(value, batch, state.eta_hat, state.b, nu, 1.0, idx),
             value,
             state.value_adam,
-            rollout_len,
             config,
             sample_rng,
             "value loss",

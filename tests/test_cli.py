@@ -234,6 +234,20 @@ class TestTrain:
         assert code == 1
         assert "config.json" in stderr_payload(capsys)["detail"]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"nu": float("nan")}, {"iterations": 2.0}, {"eval_horizon": 0}, {"eval_episodes": 0}],
+    )
+    def test_invalid_config_values_fail_cleanly(self, tmp_path, capsys, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "r.csv"
+        code = run_cli(["train", "--env", "twostate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "invalid-input"
+        assert next(iter(overrides)) in payload["detail"]
+        assert not out.exists()
+
     def test_divergence_dumps_state(self, tmp_path, monkeypatch, capsys):
         env = TabularEnv(make_two_state(), np.random.default_rng(0))
         state = init_trainer(env, TrainConfig(hidden=(8,)), np.random.default_rng(0))
@@ -272,6 +286,34 @@ class TestAblateNu:
             assert np.isfinite(float(final_eval))
             assert float(drift) >= 0.0
         assert "ablate-nu: wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags,fragment",
+        [(["--nus", "nan"], "nu"), (["--nus", "-1"], "nu"), (["--iterations", "0"], "iterations")],
+    )
+    def test_invalid_grid_fails_cleanly(self, tmp_path, capsys, flags, fragment):
+        out = tmp_path / "ablate.csv"
+        code = run_cli(["ablate-nu", "--env", "twostate", "--nus", "0", "--seeds", "0",
+                        "--iterations", "2", *flags, "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "invalid-input"
+        assert fragment in payload["detail"]
+        assert not out.exists()
+
+    def test_divergence_reports_non_finite_loss(self, tmp_path, monkeypatch, capsys):
+        def explode(env, behavior, nu, **kwargs):
+            raise NonFiniteLossError("value loss became nan at iteration 3", None)
+
+        monkeypatch.setattr(cli, "value_drift_experiment", explode)
+        out = tmp_path / "ablate.csv"
+        code = run_cli(["ablate-nu", "--env", "twostate", "--nus", "0", "--seeds", "0",
+                        "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "non-finite-loss"
+        assert "iteration 3" in payload["detail"]["message"]
+        assert not out.exists()
 
     def test_rejects_continuous_env(self, tmp_path, capsys):
         code = run_cli(["ablate-nu", "--env", "pendulum",

@@ -99,11 +99,12 @@ def per_step_rollout(env, params, value, n_steps, rng):
     return all_obs, np.array(actions), np.array(rewards), np.array(logps), values
 
 
-def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng) -> RolloutBatch:
+def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng):
     """Reference for `collect_rollout` with a `TabularActor` on a `TabularEnv`:
     the array-row loop that list rows replaced.  Each draw is a clamped
     ``np.searchsorted`` over a cumulative numpy row, the state is read back
-    with ``np.argmax(obs)``, and the log-probability is a scalar ``np.log``."""
+    with ``np.argmax(obs)``, and the log-probability is a scalar ``np.log``.
+    Returns the batch and the observation after the last step."""
     cum_env = np.cumsum(mdp.transition, axis=2)
     cum_pi = np.cumsum(policy.probs, axis=1)
     eye = np.eye(mdp.n_states)
@@ -126,11 +127,10 @@ def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng) -> Rollo
         obs=all_obs[:-1],
         actions=np.array(actions, dtype=np.int64),
         rewards=np.array(rewards),
-        next_obs=all_obs[1:],
         old_log_prob=np.array(logps),
         value=values[:-1],
         next_value=values[1:],
-    )
+    ), all_obs[-1]
 
 
 class FixedRng:
@@ -174,7 +174,6 @@ def manual_batch(states, rewards, v, eta_hat=None, actions=None):
         obs=obs[:-1],
         actions=np.zeros(n, dtype=np.int64) if actions is None else np.asarray(actions),
         rewards=np.asarray(rewards, dtype=float),
-        next_obs=obs[1:],
         old_log_prob=np.zeros(n),
         value=values[:-1],
         next_value=values[1:],
@@ -199,6 +198,23 @@ class TestTrainConfig:
             ("iterations", 0, "iterations"),
             ("rollout_len", 0, "rollout_len"),
             ("grad_clip", 0.0, "grad_clip"),
+            # NaN, wrong types and empty evaluations
+            ("nu", math.nan, "nu"),
+            ("nu", math.inf, "nu"),
+            ("nu", True, "nu"),
+            ("nu", "0.3", "nu"),
+            ("beta", math.nan, "beta"),
+            ("beta", math.inf, "beta"),
+            ("grad_clip", math.nan, "grad_clip"),
+            ("iterations", 2.0, "iterations"),
+            ("rollout_len", 4096.0, "rollout_len"),
+            ("epochs", True, "epochs"),
+            ("minibatch", 32.0, "minibatch"),
+            ("seed", 1.0, "seed"),
+            ("eval_every", 2.5, "eval_every"),
+            ("eval_horizon", 0, "eval_horizon"),
+            ("eval_episodes", 0, "eval_episodes"),
+            ("hidden", (8.0,), "hidden"),
         ],
     )
     def test_validate_rejects(self, field, value, fragment):
@@ -232,8 +248,7 @@ class TestActors:
         actor = TabularActor(policy)
         rng = np.random.default_rng(0)
         for s in (0, 1):
-            obs = np.eye(2)[s]
-            a, logp = actor.act(obs, rng)
+            a, logp = actor.act(s, rng)
             assert logp == float(np.log(policy.probs[s, a]))
 
     def test_tabular_actor_log_probs_match_scalar_log(self):
@@ -248,27 +263,48 @@ class TestActors:
         for s in range(400):
             for a in range(10):
                 u = 0.0 if a == 0 else float(cum[s, a - 1])
-                assert actor.act(np.eye(400)[s], FixedRng(u)) == (a, float(np.log(probs[s, a])))
+                assert actor.act(s, FixedRng(u)) == (a, float(np.log(probs[s, a])))
 
     def test_tabular_actor_action_frequencies(self):
         actor = TabularActor(switch_policy(0.8, 0.3))
         rng = np.random.default_rng(1)
-        obs = np.eye(2)[0]
-        draws = np.array([actor.act(obs, rng)[0] for _ in range(5000)])
+        draws = np.array([actor.act(0, rng)[0] for _ in range(5000)])
         # p_swap = 0.8, three sigma on the frequency of action 1
         assert abs(draws.mean() - 0.8) < 3.0 * math.sqrt(0.8 * 0.2 / 5000)
 
     def test_tabular_actor_draw_above_last_cumulative(self):
         policy = TabularPolicy(random_mdp_8().transition[:, 0, :])
-        a, logp = TabularActor(policy).act(np.eye(8)[0], TopRng())
+        a, logp = TabularActor(policy).act(0, TopRng())
         assert a == 7
         assert logp == float(np.log(policy.probs[0, 7]))
 
     def test_tabular_actor_draw_above_last_cumulative_skips_zero_probability(self):
         policy = TabularPolicy(np.tile(trailing_zero_row(), (2, 1)))
-        a, logp = TabularActor(policy).act(np.eye(2)[1], TopRng())
+        a, logp = TabularActor(policy).act(1, TopRng())
         assert a == 2
         assert logp == float(np.log(policy.probs[1, 2]))
+
+    def test_network_table_matches_sample_action_on_every_state(self):
+        policy = init_mlp(np.random.default_rng(70), 6, 3, "categorical", (8,))
+        policy.tensors["w1"] *= 4.0  # spread the action probabilities
+        actor = TabularActor(policy)
+        for s in range(6):
+            obs = np.eye(6)[s][None]
+            rng, rng_ref = np.random.default_rng(71 + s), np.random.default_rng(71 + s)
+            for _ in range(50):
+                a_ref, logp_ref = sample_action(policy, obs, rng_ref)
+                assert actor.act(s, rng) == (int(a_ref[0]), float(logp_ref[0]))
+            assert actor.greedy[s] == int(deterministic_action(policy, obs)[0])
+
+    def test_greedy_reads_probabilities_not_log_probabilities(self):
+        # two adjacent doubles whose logarithms round to the same double
+        p = 0.0079
+        while np.log(p) != np.log(np.nextafter(p, 1.0)):
+            p = np.nextafter(p, 1.0)
+        q = np.nextafter(p, 1.0)
+        row = np.concatenate([[p, q], np.full(126, (1.0 - p - q) / 126)])
+        actor = TabularActor(TabularPolicy(np.tile(row, (2, 1))))
+        assert actor.greedy == [1, 1]
 
     def test_neural_actor_returns_consistent_log_prob(self):
         params = init_mlp(np.random.default_rng(2), 2, 2, "categorical", (8,))
@@ -297,14 +333,15 @@ class TestCollectRollout:
         batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, 40,
                                 np.random.default_rng(7))
         np.testing.assert_array_equal(batch.next_value[:-1], batch.value[1:])
-        np.testing.assert_array_equal(batch.next_obs[:-1], batch.obs[1:])
+        np.testing.assert_array_equal(batch.next_value[-1:],
+                                      value_forward(value, env.observation()[None]))
 
     def test_values_match_direct_critic_pass(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(8), 2, 1, "value", (8,))
         batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, 16,
                                 np.random.default_rng(9))
-        full = np.concatenate([batch.obs, batch.next_obs[-1:]])
+        full = np.concatenate([batch.obs, env.observation()[None]])
         recomputed = value_forward(value, full)
         np.testing.assert_array_equal(batch.value, recomputed[:-1])
         np.testing.assert_array_equal(batch.next_value, recomputed[1:])
@@ -314,9 +351,10 @@ class TestCollectRollout:
         value = init_mlp(np.random.default_rng(10), 2, 1, "value", (8,))
         actor = TabularActor(switch_policy(0.5, 0.5))
         rng = np.random.default_rng(11)
-        first = collect_rollout(env, actor, value, 10, rng)
+        collect_rollout(env, actor, value, 10, rng)
+        after_first = env.observation()
         second = collect_rollout(env, actor, value, 10, rng)
-        np.testing.assert_array_equal(second.obs[0], first.next_obs[-1])
+        np.testing.assert_array_equal(second.obs[0], after_first)
 
     def test_neural_log_probs_match_batched_recompute(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
@@ -343,7 +381,7 @@ class TestCollectRollout:
             env_ref, policy, value, 300, rng_ref)
         batch = collect_rollout(env, NeuralActor(policy), value, 300, rng)
         np.testing.assert_array_equal(batch.obs, obs[:-1])
-        np.testing.assert_array_equal(batch.next_obs, obs[1:])
+        np.testing.assert_array_equal(env.observation(), obs[-1])
         np.testing.assert_array_equal(batch.actions, actions)
         np.testing.assert_array_equal(batch.rewards, rewards)
         np.testing.assert_array_equal(batch.old_log_prob, logps)
@@ -392,7 +430,7 @@ class TestCollectRollout:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = collect_rollout(env, TabularActor(policy), value, 4000, rng)
-            ref = array_row_rollout(mdp, policy, value, state, 4000, env_rng, rng_ref)
+            ref, ref_last = array_row_rollout(mdp, policy, value, state, 4000, env_rng, rng_ref)
         for f in fields(RolloutBatch):
             got, want = getattr(batch, f.name), getattr(ref, f.name)
             if want is None:
@@ -403,7 +441,7 @@ class TestCollectRollout:
         assert np.all(np.isfinite(batch.old_log_prob))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert env.rng.bit_generator.state == env_rng.bit_generator.state
-        assert env.state == int(np.argmax(ref.next_obs[-1]))
+        np.testing.assert_array_equal(env.observation(), ref_last)
 
     def test_gaussian_rollout_on_pendulum(self):
         env = seeded_env("pendulum", 0)
@@ -432,7 +470,7 @@ class TestMovingAverages:
     def test_eta_hat_update_formula(self):
         state = TrainerState(None, None, None, None)
         batch = RolloutBatch(None, None, np.array([0.0, 1.0, 0.0, 1.0]), None,
-                             None, None, None)
+                             None, None)
         update_eta_hat(state, batch, 0.1)
         assert state.eta_hat == 0.1 * 0.5
         update_eta_hat(state, batch, 0.1)
@@ -440,7 +478,7 @@ class TestMovingAverages:
 
     def test_alpha_one_jumps_to_batch_mean(self):
         state = TrainerState(None, None, None, None, eta_hat=123.0, b=-7.0)
-        batch = RolloutBatch(None, None, np.array([0.25, 0.75]), None, None,
+        batch = RolloutBatch(None, None, np.array([0.25, 0.75]), None,
                              np.array([1.0, 3.0]), None)
         update_eta_hat(state, batch, 1.0)
         update_b(state, batch, 1.0)
@@ -450,7 +488,7 @@ class TestMovingAverages:
     def test_b_uses_collection_time_values(self):
         state = TrainerState(None, None, None, None)
         values = np.array([0.5, -0.5, 1.5])
-        batch = RolloutBatch(None, None, None, None, None, values, None)
+        batch = RolloutBatch(None, None, None, None, values, None)
         update_b(state, batch, 0.1)
         assert state.b == 0.1 * values.mean()
 
@@ -469,7 +507,7 @@ class TestMovingAverages:
 class TestResidualsAndAdvantages:
     def test_lambda_zero_gives_plain_residuals(self):
         rng = np.random.default_rng(22)
-        batch = RolloutBatch(None, None, rng.normal(size=20), None, None,
+        batch = RolloutBatch(None, None, rng.normal(size=20), None,
                              rng.normal(size=20), rng.normal(size=20))
         compute_residuals_and_advantages(batch, 0.3, 0.0)
         expected = batch.rewards - 0.3 + batch.next_value - batch.value
@@ -485,7 +523,7 @@ class TestResidualsAndAdvantages:
     )
     def test_advantages_match_double_sum(self, seed, n, lam, discount):
         rng = np.random.default_rng(seed)
-        batch = RolloutBatch(None, None, rng.uniform(-1, 1, n), None, None,
+        batch = RolloutBatch(None, None, rng.uniform(-1, 1, n), None,
                              rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
         eta = rng.uniform(-1, 1)
         compute_residuals_and_advantages(batch, eta, lam, discount)
@@ -507,7 +545,7 @@ class TestResidualsAndAdvantages:
 
     def test_value_targets_formula(self):
         rng = np.random.default_rng(23)
-        batch = RolloutBatch(None, None, rng.normal(size=8), None, None,
+        batch = RolloutBatch(None, None, rng.normal(size=8), None,
                              rng.normal(size=8), rng.normal(size=8))
         expected = batch.rewards - 0.4 + 0.9 * batch.next_value - 0.3 * 2.0
         np.testing.assert_array_equal(_value_targets(batch, 0.4, 2.0, 0.3, 0.9), expected)
@@ -559,8 +597,7 @@ class TestLosses:
     def test_policy_loss_requires_advantages(self):
         policy = init_mlp(np.random.default_rng(26), 2, 2, "categorical", (8,))
         batch = RolloutBatch(np.eye(2), np.zeros(2, dtype=np.int64),
-                             np.zeros(2), np.eye(2), np.zeros(2),
-                             np.zeros(2), np.zeros(2))
+                             np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="advantages"):
             policy_loss(policy, batch, 0.2)
 
@@ -591,7 +628,7 @@ class TestLosses:
         obs = np.eye(2)[np.array([0, 1, 0, 1])]
         actions = np.array([0, 1, 1, 0])
         logp_now = policy_log_prob(policy, obs, actions)
-        batch = RolloutBatch(obs, actions, np.zeros(4), obs, logp_now - np.log(2.0),
+        batch = RolloutBatch(obs, actions, np.zeros(4), logp_now - np.log(2.0),
                              np.zeros(4), np.zeros(4))
         batch.advantage = advantage_sign * np.ones(4)
         return policy, batch
@@ -671,7 +708,7 @@ class TestAlgoTerms:
         with pytest.raises(NonFiniteLossError) as err:
             _sgd_epochs(
                 lambda idx: value_loss(state.value, batch, 0.0, 0.0, 0.0, 1.0, idx),
-                state.value, state.value_adam, 64, cfg,
+                state.value, state.value_adam, cfg,
                 np.random.default_rng(42), "value loss", state)
         assert err.value.state is state
 
@@ -698,11 +735,11 @@ class TestPpoPathEquivalence:
                                 cfg.rollout_len, sample_rng)
         compute_residuals_and_advantages(batch, 0.0, cfg.lam, cfg.gamma)
         _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
-                    state.policy, state.policy_adam, cfg.rollout_len, cfg,
+                    state.policy, state.policy_adam, cfg,
                     sample_rng, "policy loss", state)
         _sgd_epochs(lambda idx: value_loss(state.value, batch, 0.0, 0.0, 0.0,
                                            cfg.gamma, idx),
-                    state.value, state.value_adam, cfg.rollout_len, cfg,
+                    state.value, state.value_adam, cfg,
                     sample_rng, "value loss", state)
 
         for name, expected in state.policy.tensors.items():
@@ -917,6 +954,17 @@ class TestValueDrift:
             per_episode[ep] = total / 60
         assert len(set(greedy.tolist())) > 1
         assert res.final_eval_reward == float(per_episode.mean())
+
+    @pytest.mark.parametrize(
+        "overrides,fragment",
+        [({"nu": math.nan}, "nu"), ({"nu": -1.0}, "nu"), ({"iterations": 0}, "iterations"),
+         ({"eval_horizon": 0}, "eval_horizon")],
+    )
+    def test_rejects_what_train_rejects(self, two_state, overrides, fragment):
+        kwargs = dict(nu=0.3, iterations=2, rollout_len=32, hidden=(4,)) | overrides
+        env = TabularEnv(two_state, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=fragment):
+            value_drift_experiment(env, switch_policy(0.5, 0.5), **kwargs)
 
     def test_mean_abs_b_window(self):
         from apo.training import DriftResult

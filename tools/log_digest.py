@@ -12,8 +12,9 @@ set to ``--src`` (default: this checkout's ``src``) and one BLAS thread, in
 a temporary directory.  The set:
 
 - ``train`` on twostate (seed 3), twoloop with apo and with ppo at gamma 0.9
-  (seed 11) and pendulum (seed 5), each 6 iterations with an evaluation
-  every 3: the log CSV, the checkpoint and the printed summary;
+  (seed 11), pendulum (seed 5) and, with apo, a ``file:`` MDP whose start
+  state is transient (seed 4), each 6 iterations with an evaluation every 3:
+  the log CSV, the checkpoint and the printed summary;
 - ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations;
 - ``verify`` at its default flags;
 - ``analyze`` of a seeded 12-state, 4-action MDP under a seeded policy.
@@ -48,6 +49,25 @@ TRAIN_RUNS = [
 ]
 
 
+def write_transient_mdp(work: Path) -> Path:
+    """A 6-state, 3-action MDP that starts in state 5 and never returns to
+    it: after the first step a rollout stays among states 0-4."""
+    rng = np.random.default_rng(6)
+    s, a = 6, 3
+    transition = np.zeros((s, a, s))
+    transition[:, :, :5] = rng.dirichlet(np.ones(5), size=(s, a))
+    mdp = {
+        "n_states": s,
+        "n_actions": a,
+        "transition": transition.tolist(),
+        "reward": rng.uniform(-1.0, 1.0, size=(s, a)).tolist(),
+        "init_dist": np.eye(s)[5].tolist(),
+    }
+    path = work / "transient.json"
+    path.write_text(json.dumps(mdp))
+    return path
+
+
 def write_analyze_inputs(work: Path) -> tuple[Path, Path]:
     """A 12-state, 4-action MDP with every transition positive, and a policy."""
     rng = np.random.default_rng(12)
@@ -69,8 +89,10 @@ def write_analyze_inputs(work: Path) -> tuple[Path, Path]:
 def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
     config = work / "short.json"
     config.write_text(json.dumps(SHORT_TRAIN))
+    transient = ("train-transient-apo-s4",
+                 ["--env", f"file:{write_transient_mdp(work)}", "--algo", "apo", "--seed", "4"])
     out = []
-    for name, argv in TRAIN_RUNS:
+    for name, argv in [*TRAIN_RUNS, transient]:
         log = work / f"{name}.csv"
         out.append((name, ["train", *argv, "--config", str(config), "--out", str(log)],
                     [log, log.with_suffix(".ckpt.npz")]))
