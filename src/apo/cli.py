@@ -193,22 +193,20 @@ def cmd_ablate_nu(args) -> int:
     n_actions = env_probe.n_actions
     n_states = env_probe.obs_dim
     behavior = TabularPolicy(np.full((n_states, n_actions), 1.0 / n_actions))
+    grid = [(nu, seed) for nu in nus for seed in seeds]
+    # every pair is checked before the first run, so a bad one discards no work
+    for nu, seed in grid:
+        TrainConfig(nu=nu, iterations=args.iterations, seed=seed).validate()
     rows = []
-    for nu in nus:
-        for seed in seeds:
-            env_stream = np.random.SeedSequence(seed).spawn(4)[ENV_STREAM]
-            env = make_env(args.env, np.random.default_rng(env_stream))
-            result = value_drift_experiment(
-                env, behavior, nu, iterations=args.iterations, seed=seed
-            )
-            tail = max(1, args.iterations // 4)
-            rows.append(
-                [repr(nu), seed, repr(result.final_eval_reward), repr(result.mean_abs_b(tail))]
-            )
-            print(
-                f"ablate-nu: nu={nu} seed={seed} "
-                f"mean|b| over last quarter = {rows[-1][3]}"
-            )
+    for nu, seed in grid:
+        env_stream = np.random.SeedSequence(seed).spawn(4)[ENV_STREAM]
+        env = make_env(args.env, np.random.default_rng(env_stream))
+        result = value_drift_experiment(env, behavior, nu, iterations=args.iterations, seed=seed)
+        tail = max(1, args.iterations // 4)
+        rows.append(
+            [repr(nu), seed, repr(result.final_eval_reward), repr(result.mean_abs_b(tail))]
+        )
+        print(f"ablate-nu: nu={nu} seed={seed} mean|b| over last quarter = {rows[-1][3]}")
     lines = ["nu,seed,final_eval_reward,mean_abs_b_last_quarter"]
     lines.extend(",".join(str(x) for x in row) for row in rows)
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -15,8 +15,9 @@ The baseline path is the same loop with discounted targets
 ``r + g V(s')``, residual decay ``g * lam``, and no running estimates.
 Both paths share one parameterized code path, so substituting discounted
 targets and ``nu = 0`` into the average-reward path *is* the baseline.
-The value-drift experiment (the ``nu`` ablation) is the average-reward
-loop without the policy step, on a `TrainConfig` validated like `train`'s.
+The value-drift experiment (the ``nu`` ablation) runs through `train`'s
+own loop with a fixed behavior policy in place of the policy network: no
+policy step, and one evaluation, after the last iteration.
 
 On a `TabularEnv` every fixed policy acts through one per-state table,
 `TabularActor`: the drift experiment's behavior policy, the policy network
@@ -129,6 +130,8 @@ class TrainConfig:
                      "eval_horizon", "eval_episodes"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be positive")
+        if self.seed < 0:
+            problems.append(f"seed must be non-negative, got {self.seed}")
         if self.minibatch > self.rollout_len:
             problems.append("minibatch cannot exceed rollout_len")
         if not (self.grad_clip > 0.0):
@@ -150,8 +153,9 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
-    """What training changes; ``policy`` and ``policy_adam`` are None in the
-    value-drift experiment, which trains no policy."""
+    """What training changes; ``policy`` and ``policy_adam`` are None when a
+    fixed behavior policy acts (the value-drift experiment), as no policy
+    network is built or trained."""
 
     policy: MlpParams | None
     value: MlpParams
@@ -417,6 +421,7 @@ class LogRow:
     eta_hat: float
     b: float
     mean_value: float
+    # the logged full-batch losses and KL: nan when a fixed behavior policy acts
     policy_loss: float
     value_loss: float
     approx_kl: float
@@ -495,13 +500,28 @@ def train(env, config: TrainConfig) -> TrainLog:
     all iterations.  Evaluations run on an independently spawned copy of the
     env, so they never disturb that chain.
     """
+    return _run(env, config, None)
+
+
+def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
+    """`train`'s loop.  A fixed ``behavior`` policy acts in place of the
+    policy network, which is then neither built nor trained: the critic is
+    the only network drawn from the init stream, and each iteration skips
+    the residual pass, the policy epochs and the logged full-batch losses."""
     config.validate()
     streams = np.random.SeedSequence(config.seed).spawn(4)
     init_rng = np.random.default_rng(streams[INIT_STREAM])
     sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
     eval_rng = np.random.default_rng(streams[EVAL_STREAM])
 
-    state = init_trainer(env, config, init_rng)
+    if behavior is None:
+        state = init_trainer(env, config, init_rng)
+        actor = NeuralActor(state.policy)  # its parameters update in place
+    else:
+        value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
+        state = TrainerState(policy=None, value=value, policy_adam=None,
+                             value_adam=init_adam_state(value))
+        actor = TabularActor(behavior)
     discount, track_averages, nu = _algo_terms(config)
     eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
     log = TrainLog(config=config, state=state)
@@ -509,24 +529,24 @@ def train(env, config: TrainConfig) -> TrainLog:
     env.reset()
     for k in range(1, config.iterations + 1):
         state.iteration = k
-        actor = NeuralActor(state.policy)
         batch = collect_rollout(env, actor, state.value, config.rollout_len, sample_rng)
         if track_averages:
             update_eta_hat(state, batch, config.alpha)
             update_b(state, batch, config.alpha)
         eta = state.eta_hat if track_averages else 0.0
         b = state.b if track_averages else 0.0
-        compute_residuals_and_advantages(batch, eta, config.lam, discount)
 
-        _sgd_epochs(
-            lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
-            state.policy,
-            state.policy_adam,
-            config,
-            sample_rng,
-            "policy loss",
-            state,
-        )
+        if behavior is None:
+            compute_residuals_and_advantages(batch, eta, config.lam, discount)
+            _sgd_epochs(
+                lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
+                state.policy,
+                state.policy_adam,
+                config,
+                sample_rng,
+                "policy loss",
+                state,
+            )
         _sgd_epochs(
             lambda idx: value_loss(state.value, batch, eta, b, nu, discount, idx),
             state.value,
@@ -537,23 +557,26 @@ def train(env, config: TrainConfig) -> TrainLog:
             state,
         )
 
-        # one forward per network over the whole batch serves the logged
-        # losses and the approximate KL
-        new_logp = policy_log_prob(state.policy, batch.obs, batch.actions)
-        pl, _ = _clipped_surrogate(
-            new_logp, batch.old_log_prob, batch.advantage, config.clip_eps
-        )
-        vl, _ = _half_squared_error(
-            value_forward(state.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
-        )
-        _check_finite(pl, "policy loss", state)
-        _check_finite(vl, "value loss", state)
-        approx_kl = float(np.mean(batch.old_log_prob - new_logp))
+        pl = vl = approx_kl = math.nan
+        if behavior is None:
+            # one forward per network over the whole batch serves the logged
+            # losses and the approximate KL
+            new_logp = policy_log_prob(state.policy, batch.obs, batch.actions)
+            pl, _ = _clipped_surrogate(
+                new_logp, batch.old_log_prob, batch.advantage, config.clip_eps
+            )
+            vl, _ = _half_squared_error(
+                value_forward(state.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
+            )
+            _check_finite(pl, "policy loss", state)
+            _check_finite(vl, "value loss", state)
+            approx_kl = float(np.mean(batch.old_log_prob - new_logp))
 
         eval_reward = float("nan")
         if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):
             eval_reward = evaluate(
-                eval_env, state.policy, config.eval_horizon, config.eval_episodes, eval_rng
+                eval_env, state.policy if behavior is None else behavior,
+                config.eval_horizon, config.eval_episodes, eval_rng,
             )
         log.rows.append(
             LogRow(
@@ -604,51 +627,22 @@ def value_drift_experiment(
     Isolates the average-value drift: the policy never updates, only the
     critic chases the differential targets.  With ``nu = 0`` nothing anchors
     the critic mean, so the running average-value estimate ``b`` wanders;
-    larger ``nu`` pulls it back toward zero.  Every other hyperparameter is
-    `TrainConfig`'s default, and the config is validated like `train`'s.
-    Returns the full ``b`` series plus a deterministic (argmax) evaluation
+    larger ``nu`` pulls it back toward zero.  It runs `train`'s loop with
+    ``behavior`` fixed and one evaluation, after the last iteration; every
+    other hyperparameter is `TrainConfig`'s default.  Returns the logged
+    ``b`` and ``eta_hat`` series plus that deterministic (argmax) evaluation
     of the behavior policy.
     """
     config = TrainConfig(
         nu=nu, iterations=iterations, rollout_len=rollout_len,
         minibatch=min(minibatch, rollout_len), hidden=tuple(hidden), seed=seed,
-        eval_horizon=eval_horizon, eval_episodes=eval_episodes,
+        eval_every=iterations, eval_horizon=eval_horizon, eval_episodes=eval_episodes,
     )
-    config.validate()
-    streams = np.random.SeedSequence(seed).spawn(4)
-    init_rng = np.random.default_rng(streams[INIT_STREAM])
-    sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
-    eval_rng = np.random.default_rng(streams[EVAL_STREAM])
-
-    value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
-    state = TrainerState(policy=None, value=value, policy_adam=None,
-                         value_adam=init_adam_state(value))
-    actor = TabularActor(behavior)
-    b_series = np.empty(iterations)
-    eta_series = np.empty(iterations)
-    env.reset()
-    for k in range(1, iterations + 1):
-        state.iteration = k
-        batch = collect_rollout(env, actor, value, rollout_len, sample_rng)
-        update_eta_hat(state, batch, config.alpha)
-        update_b(state, batch, config.alpha)
-        _sgd_epochs(
-            lambda idx: value_loss(value, batch, state.eta_hat, state.b, nu, 1.0, idx),
-            value,
-            state.value_adam,
-            config,
-            sample_rng,
-            "value loss",
-            state,
-        )
-        b_series[k - 1] = state.b
-        eta_series[k - 1] = state.eta_hat
-
-    eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
+    rows = _run(env, config, behavior).rows
     return DriftResult(
         nu=nu,
         seed=seed,
-        b_series=b_series,
-        eta_series=eta_series,
-        final_eval_reward=evaluate(eval_env, behavior, eval_horizon, eval_episodes, eval_rng),
+        b_series=np.array([row.b for row in rows]),
+        eta_series=np.array([row.eta_hat for row in rows]),
+        final_eval_reward=rows[-1].eval_avg_reward,
     )

@@ -1,12 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import dataclasses
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from apo import cli
+from apo import cli, training
 from apo.envs import make_two_state, switch_policy
 from apo.mdp import Mdp, random_policy, write_mdp, write_policy
 from apo.nn import load_checkpoint
@@ -289,17 +291,47 @@ class TestAblateNu:
 
     @pytest.mark.parametrize(
         "flags,fragment",
-        [(["--nus", "nan"], "nu"), (["--nus", "-1"], "nu"), (["--iterations", "0"], "iterations")],
+        [(["--nus", "nan"], "nu"), (["--nus", "-1"], "nu"), (["--iterations", "0"], "iterations"),
+         # a bad pair after a good one still fails before any run starts
+         (["--nus", "0,-1"], "nu"), (["--nus", "0,nan"], "nu"), (["--seeds", "0,-1"], "seed")],
     )
     def test_invalid_grid_fails_cleanly(self, tmp_path, capsys, flags, fragment):
         out = tmp_path / "ablate.csv"
         code = run_cli(["ablate-nu", "--env", "twostate", "--nus", "0", "--seeds", "0",
                         "--iterations", "2", *flags, "--out", str(out)])
         assert code == 1
-        payload = stderr_payload(capsys)
+        captured = capsys.readouterr()
+        assert "ablate-nu: nu=" not in captured.out
+        payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["error"] == "invalid-input"
         assert fragment in payload["detail"]
         assert not out.exists()
+
+    def test_runs_without_train(self, tmp_path, monkeypatch):
+        # the benchmark wraps every `apo` binding of `train` and of
+        # `value_drift_experiment` to time each call; the experiment must not
+        # go through `train`, or one run would count as two
+        def refuse(*args, **kwargs):
+            raise AssertionError("value_drift_experiment called train")
+
+        original = training.train
+        for name, module in list(sys.modules.items()):
+            if name == "apo" or name.startswith("apo."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, refuse)
+        assert training.train is refuse and cli.train is refuse
+        assert cli.value_drift_experiment is training.value_drift_experiment
+        params = inspect.signature(training.value_drift_experiment).parameters
+        assert params["rollout_len"].default == 256
+
+        env = TabularEnv(make_two_state(), np.random.default_rng(0))
+        res = training.value_drift_experiment(env, switch_policy(0.5, 0.5), 0.3, iterations=2)
+        assert res.b_series.shape == (2,)
+        out = tmp_path / "ablate.csv"
+        assert run_cli(["ablate-nu", "--env", "twostate", "--nus", "0", "--seeds", "0",
+                        "--iterations", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_divergence_reports_non_finite_loss(self, tmp_path, monkeypatch, capsys):
         def explode(env, behavior, nu, **kwargs):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apo import training
 from apo.envs import TabularEnv, make_env, make_two_loop, make_two_state, switch_policy
 from apo.mdp import Mdp, TabularPolicy, random_ergodic_mdp
 from apo.nn import (
@@ -34,6 +35,7 @@ from apo.training import (
     TrainerState,
     _algo_terms,
     _check_finite,
+    _run,
     _sgd_epochs,
     collect_rollout,
     _value_targets,
@@ -215,6 +217,7 @@ class TestTrainConfig:
             ("eval_horizon", 0, "eval_horizon"),
             ("eval_episodes", 0, "eval_episodes"),
             ("hidden", (8.0,), "hidden"),
+            ("seed", -1, "seed"),
         ],
     )
     def test_validate_rejects(self, field, value, fragment):
@@ -965,6 +968,44 @@ class TestValueDrift:
         env = TabularEnv(two_state, np.random.default_rng(0))
         with pytest.raises(ValueError, match=fragment):
             value_drift_experiment(env, switch_policy(0.5, 0.5), **kwargs)
+
+    COUNTED = ("policy_loss", "compute_residuals_and_advantages", "policy_log_prob",
+               "value_forward")
+
+    def count_calls(self, monkeypatch) -> dict[str, int]:
+        counts = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            def counted(*args, _name=name, _fn=getattr(training, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        return counts
+
+    def test_fixed_policy_does_no_policy_work(self, two_state, monkeypatch):
+        counts = self.count_calls(monkeypatch)
+        cfg = tiny_config(iterations=3, eval_every=3)
+        log = _run(TabularEnv(two_state, np.random.default_rng(0)), cfg,
+                   switch_policy(0.5, 0.5))
+        assert counts == {"policy_loss": 0, "compute_residuals_and_advantages": 0,
+                          "policy_log_prob": 0, "value_forward": 3}
+        assert log.state.policy is None and log.state.policy_adam is None
+        for row in log.rows:
+            assert math.isnan(row.policy_loss)
+            assert math.isnan(row.value_loss)
+            assert math.isnan(row.approx_kl)
+        assert [math.isnan(row.eval_avg_reward) for row in log.rows] == [True, True, False]
+
+    def test_train_does_policy_work_every_iteration(self, two_state, monkeypatch):
+        # one epoch of one minibatch: each counted call runs once per
+        # iteration, the critic twice (rollout and logged loss)
+        counts = self.count_calls(monkeypatch)
+        cfg = tiny_config(iterations=3, epochs=1, minibatch=64)
+        log = train(TabularEnv(two_state, np.random.default_rng(0)), cfg)
+        assert counts == {"policy_loss": 3, "compute_residuals_and_advantages": 3,
+                          "policy_log_prob": 3, "value_forward": 6}
+        for row in log.rows:
+            assert np.isfinite([row.policy_loss, row.value_loss, row.approx_kl]).all()
 
     def test_mean_abs_b_window(self):
         from apo.training import DriftResult

@@ -15,7 +15,8 @@ a temporary directory.  The set:
   (seed 11), pendulum (seed 5) and, with apo, a ``file:`` MDP whose start
   state is transient (seed 4), each 6 iterations with an evaluation every 3:
   the log CSV, the checkpoint and the printed summary;
-- ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations;
+- ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations, and on
+  twoloop at nu 0.3, seed 2, 30 iterations;
 - ``verify`` at its default flags;
 - ``analyze`` of a seeded 12-state, 4-action MDP under a seeded policy.
 
@@ -96,9 +97,11 @@ def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
         log = work / f"{name}.csv"
         out.append((name, ["train", *argv, "--config", str(config), "--out", str(log)],
                     [log, log.with_suffix(".ckpt.npz")]))
-    ablate = work / "ablate-nu.csv"
-    out.append(("ablate-nu", ["ablate-nu", "--nus", "0,1", "--seeds", "0,1",
-                              "--iterations", "100", "--out", str(ablate)], [ablate]))
+    for name, argv in [("ablate-nu", ["--nus", "0,1", "--seeds", "0,1", "--iterations", "100"]),
+                       ("ablate-nu-twoloop", ["--env", "twoloop", "--nus", "0.3", "--seeds", "2",
+                                              "--iterations", "30"])]:
+        ablate = work / f"{name}.csv"
+        out.append((name, ["ablate-nu", *argv, "--out", str(ablate)], [ablate]))
     verify = work / "verify.csv"
     out.append(("verify", ["verify", "--out", str(verify)], [verify]))
     mdp_path, policy_path = write_analyze_inputs(work)
