@@ -1,7 +1,7 @@
 """Minimal tanh MLP function approximation with closed-form gradients.
 
-Everything is float64 numpy.  Networks are dicts of named tensors wrapped in
-`MlpParams`; hidden layers use tanh.  Three heads: a scalar value head, a
+Everything is float64 numpy.  A network is an `MlpParams`: one flat vector
+of parameters and named views into it; hidden layers use tanh.  Three heads: a scalar value head, a
 Gaussian policy head (state-dependent mean plus one learnable
 state-independent log-std vector), and a categorical logits head.
 
@@ -14,10 +14,10 @@ collection is the value the loss reproduces at the collection parameters.
 `value_vjp` and `policy_log_prob_vjp` pair a forward pass with the
 vector-Jacobian product that reuses its cached terms.
 
-Gradient dicts hold their keys in ``params.tensors`` order, and no returned
-array aliases a parameter, a cached activation or another gradient, so
-`clip_global_norm` may scale them in place.  Adam keeps each moment in one
-flat buffer and updates it in one pass over the concatenated gradients.
+`backward` writes the gradient into one fresh vector laid out like the
+parameters (`MlpParams.views` names its parts), so `clip_global_norm` is
+one dot product and one scale; Adam's moments share the layout, and
+`adam_step` updates them and the parameters in place.
 """
 
 from __future__ import annotations
@@ -39,13 +39,37 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class MlpParams:
-    """Named tensors of one network plus its architecture."""
+    """One network's architecture and parameters: ``tensors`` are named views
+    into ``flat``, which starts at zero, in the order ``w{i}``, ``b{i}`` per
+    affine layer, then the Gaussian head's ``log_std``."""
 
     head: str  # "value" | "gaussian" | "categorical"
     in_dim: int
     out_dim: int
     hidden: tuple[int, ...]
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shapes = {f"{kind}{i}": shape for i, (m, n) in enumerate(self.layer_sizes)
+                  for kind, shape in (("w", (m, n)), ("b", (n,)))}
+        if self.head == "gaussian":
+            shapes["log_std"] = (self.out_dim,)
+        starts = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
+        self._layout = [(name, starts[i], starts[i + 1], shape)
+                        for i, (name, shape) in enumerate(shapes.items())]
+        self.flat = np.zeros(starts[-1])
+        self.tensors = self.views(self.flat)
+
+    def __deepcopy__(self, memo) -> "MlpParams":
+        # a deep copy of the views would share no memory with the copied flat
+        clone = MlpParams(self.head, self.in_dim, self.out_dim, self.hidden)
+        clone.flat[...] = self.flat
+        return clone
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector laid out like ``flat``."""
+        return {name: flat[a:b].reshape(shape) for name, a, b, shape in self._layout}
 
     @property
     def layer_sizes(self) -> list[tuple[int, int]]:
@@ -68,10 +92,7 @@ def init_mlp(
     params = MlpParams(head=head, in_dim=in_dim, out_dim=out_dim, hidden=tuple(hidden))
     for i, (fan_in, fan_out) in enumerate(params.layer_sizes):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params.tensors[f"w{i}"] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        params.tensors[f"b{i}"] = np.zeros(fan_out)
-    if head == "gaussian":
-        params.tensors["log_std"] = np.zeros(out_dim)
+        params.tensors[f"w{i}"][...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
     return params
 
 
@@ -97,13 +118,13 @@ def backward(
     acts: list,
     g_out: np.ndarray,
     log_std_grad: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Gradient of ``sum(g_out * out)`` with respect to every tensor.
+) -> np.ndarray:
+    """Gradient of ``sum(g_out * out)`` with respect to ``params.flat``, as a
+    fresh vector laid out like it.
 
     ``acts`` are the layer inputs `mlp_forward` kept for the same batch.
     ``log_std_grad`` is the Gaussian head's log-std gradient, which the
-    network body does not see; it is passed through (zeros when omitted) so
-    that the returned dict holds every tensor, in ``params.tensors`` order.
+    network body does not see; it is passed through (zeros when omitted).
     """
     last = len(params.hidden)
     if len(acts) != last + 1 or g_out.shape != (acts[0].shape[0], params.out_dim):
@@ -111,17 +132,18 @@ def backward(
             f"backward needs {last + 1} layer inputs and an upstream gradient of shape "
             f"(batch, {params.out_dim}); got {len(acts)} and {g_out.shape}"
         )
-    grads: dict[str, np.ndarray] = {}
+    flat = np.empty_like(params.flat)
+    grads = params.views(flat)
     g = g_out
     for i in range(last, -1, -1):
         h = acts[i]
-        grads[f"w{i}"] = h.T @ g
-        grads[f"b{i}"] = g.sum(axis=0)
+        np.matmul(h.T, g, out=grads[f"w{i}"])
+        np.sum(g, axis=0, out=grads[f"b{i}"])
         if i > 0:
             g = (g @ params.tensors[f"w{i}"].T) * (1.0 - np.square(h))
     if params.head == "gaussian":
-        grads["log_std"] = np.zeros(params.out_dim) if log_std_grad is None else log_std_grad
-    return {name: grads[name] for name in params.tensors}
+        grads["log_std"][...] = 0.0 if log_std_grad is None else log_std_grad
+    return flat
 
 
 def value_forward(params: MlpParams, obs: np.ndarray) -> np.ndarray:
@@ -135,7 +157,7 @@ def value_vjp(params: MlpParams, obs: np.ndarray):
     """Values for a batch plus their vector-Jacobian product.
 
     Returns ``(values, vjp)``; ``vjp(g)`` is the gradient of
-    ``sum(g * values)`` with respect to every tensor.
+    ``sum(g * values)`` with respect to ``params.flat``.
     """
     if params.head != "value":
         raise ValueError(f"value_vjp needs a value head, got {params.head!r}")
@@ -211,12 +233,12 @@ def policy_log_prob_vjp(params: MlpParams, obs: np.ndarray, actions: np.ndarray)
     """Log-probabilities of a batch of actions plus their vector-Jacobian product.
 
     Returns ``(logp, vjp)``; ``vjp(g)`` is the gradient of ``sum(g * logp)``
-    with respect to every tensor.
+    with respect to ``params.flat``.
     """
     acts: list = []
     logp, terms = _log_prob(params, mlp_forward(params, obs, acts), actions)
 
-    def vjp(g: np.ndarray) -> dict[str, np.ndarray]:
+    def vjp(g: np.ndarray) -> np.ndarray:
         g_out, g_log_std = _log_prob_grad(params, terms, g)
         return backward(params, acts, g_out, g_log_std)
 
@@ -263,74 +285,44 @@ def deterministic_action(params: MlpParams, obs: np.ndarray) -> np.ndarray:
 # Optimization
 
 
-def _flat_views(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One flat float64 copy of ``tensors`` and, per name, a view into it."""
-    flat = np.concatenate([np.ravel(x) for x in tensors.values()], dtype=np.float64)
-    views, start = {}, 0
-    for name, x in tensors.items():
-        views[name] = flat[start : start + x.size].reshape(x.shape)
-        start += x.size
-    return flat, views
-
-
 @dataclass
 class AdamState:
-    """Adam moments and step count; the entries of ``m`` and ``v`` are views
-    into one flat buffer each, which `adam_step` updates in place."""
+    """Adam's moments, laid out like the network's ``flat``, and step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-
-    def __post_init__(self) -> None:
-        self._m, self.m = _flat_views(self.m)
-        self._v, self.v = _flat_views(self.v)
 
 
 def init_adam_state(params: MlpParams) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in params.tensors.items()},
-        v={k: np.zeros_like(v) for k, v in params.tensors.items()},
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients in place so the joint 2-norm is at most max_norm."""
-    total = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
+    """Scale a flat gradient in place so that its 2-norm is at most max_norm."""
+    total = math.sqrt(float(grads @ grads))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / total
     return grads
 
 
 def adam_step(
     params: MlpParams,
-    grads: dict[str, np.ndarray],
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place, over the gradients
-    concatenated in ``state.m`` order; the same arithmetic per element as a
-    per-tensor update."""
-    g = np.concatenate([np.ravel(grads[name]) for name in state.m])
-    if not np.all(np.isfinite(g)):
-        bad = next(n for n in state.m if not np.all(np.isfinite(grads[n])))
-        raise ValueError(f"non-finite gradient for tensor {bad!r}")
+    """One bias-corrected Adam update of ``params.flat`` and the moments, in
+    place, from a flat gradient that the caller has checked is finite."""
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    np.add(beta1 * state._m, (1.0 - beta1) * g, out=state._m)
-    np.add(beta2 * state._v, (1.0 - beta2) * np.square(g), out=state._v)
-    update = lr * (state._m / c1) / (np.sqrt(state._v / c2) + eps)
-    start = 0
-    for name in state.m:
-        p = params.tensors[name]
-        p -= update[start : start + p.size].reshape(p.shape)
-        start += p.size
+    np.add(beta1 * state.m, (1.0 - beta1) * grads, out=state.m)
+    np.add(beta2 * state.v, (1.0 - beta2) * np.square(grads), out=state.v)
+    params.flat -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +349,16 @@ def save_checkpoint(
         if adam and net_name in adam:
             st = adam[net_name]
             arrays[f"{net_name}/adam/t"] = np.array(st.t, dtype=np.int64)
-            for name, tensor in st.m.items():
-                arrays[f"{net_name}/adam/m/{name}"] = tensor.astype("<f8")
-            for name, tensor in st.v.items():
-                arrays[f"{net_name}/adam/v/{name}"] = tensor.astype("<f8")
+            for moment, flat in (("m", st.m), ("v", st.v)):
+                for name, tensor in p.views(flat).items():
+                    arrays[f"{net_name}/adam/{moment}/{name}"] = tensor.astype("<f8")
     np.savez(path, **arrays)
+
+
+def _read_flat(arrays: dict[str, np.ndarray], prefix: str, params: MlpParams) -> np.ndarray:
+    """The vector laid out like ``params.flat`` from ``arrays[prefix + name]``."""
+    return np.concatenate([arrays[prefix + name].ravel() for name in params.tensors],
+                          dtype=np.float64)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, MlpParams], dict[str, AdamState]]:
@@ -369,31 +366,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, MlpParams], dict[str, A
         arrays = {k: data[k] for k in data.files}
     nets: dict[str, MlpParams] = {}
     adams: dict[str, AdamState] = {}
-    net_names = sorted({k.split("/", 1)[0] for k in arrays})
-    for net_name in net_names:
-        head = str(arrays[f"{net_name}/meta/head"])
+    for net_name in sorted({k.split("/", 1)[0] for k in arrays}):
         in_dim, out_dim = (int(x) for x in arrays[f"{net_name}/meta/dims"])
-        hidden = tuple(int(x) for x in arrays[f"{net_name}/meta/hidden"])
-        tensors = {
-            k.split("/param/", 1)[1]: np.asarray(v, dtype=np.float64)
-            for k, v in arrays.items()
-            if k.startswith(f"{net_name}/param/")
-        }
-        nets[net_name] = MlpParams(
-            head=head, in_dim=in_dim, out_dim=out_dim, hidden=hidden, tensors=tensors
+        net = MlpParams(
+            head=str(arrays[f"{net_name}/meta/head"]), in_dim=in_dim, out_dim=out_dim,
+            hidden=tuple(int(x) for x in arrays[f"{net_name}/meta/hidden"]),
         )
+        net.flat[...] = _read_flat(arrays, f"{net_name}/param/", net)
+        nets[net_name] = net
         if f"{net_name}/adam/t" in arrays:
             adams[net_name] = AdamState(
-                m={
-                    k.split("/adam/m/", 1)[1]: np.asarray(v, dtype=np.float64)
-                    for k, v in arrays.items()
-                    if k.startswith(f"{net_name}/adam/m/")
-                },
-                v={
-                    k.split("/adam/v/", 1)[1]: np.asarray(v, dtype=np.float64)
-                    for k, v in arrays.items()
-                    if k.startswith(f"{net_name}/adam/v/")
-                },
+                m=_read_flat(arrays, f"{net_name}/adam/m/", net),
+                v=_read_flat(arrays, f"{net_name}/adam/v/", net),
                 t=int(arrays[f"{net_name}/adam/t"]),
             )
     return nets, adams

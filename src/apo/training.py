@@ -197,38 +197,48 @@ class NeuralActor:
         return action, float(logp[0])
 
 
+class _NetworkRows(dict):
+    """State -> `TabularActor` row of a frozen network, built on first read."""
+
+    def __init__(self, params: MlpParams):
+        self.params = params
+
+    def __missing__(self, s: int):
+        logits = mlp_forward(self.params, np.eye(1, self.params.in_dim, s))
+        cum, logp = categorical_rows(logits)
+        row = self[s] = (cum[0].tolist(), logp[0].tolist(), int(np.argmax(logits)))
+        return row
+
+
 class TabularActor:
     """Per-state table of a fixed policy on a `TabularEnv`; `act` takes the
     state index.  An action of probability zero is never drawn.
 
     ``policy`` is a `TabularPolicy` or a categorical `MlpParams`, whose
-    parameters must not change while the table is in use.  A network's rows
-    come from the (1, S) forward on each state's one-hot row, the forward
-    the per-step path runs, so draws and log-probabilities match that path
-    bit for bit (a batched forward over all S rows differs in the last ulp).
-    ``greedy`` is each state's most probable action, read from the
-    probabilities or the logits: log-probabilities of a near-tie can round
-    equal.
+    parameters must not change while the table is in use.  A network's row
+    is built on the state's first visit from the (1, S) forward on its
+    one-hot row, as the per-step path runs it, so draws and log-probabilities
+    match that path bit for bit (a batched forward differs in the last ulp).
+    `greedy` is the most probable action, read from the probabilities or
+    the logits: log-probabilities of a near-tie can round equal.
     """
 
     def __init__(self, policy: TabularPolicy | MlpParams):
         if isinstance(policy, TabularPolicy):
-            self._cum = np.cumsum(policy.probs, axis=1).tolist()
             with np.errstate(divide="ignore"):
-                self._logp = np.log(policy.probs).tolist()
-            self.greedy = np.argmax(policy.probs, axis=1).tolist()
-            return
-        self._cum, self._logp, self.greedy = [], [], []
-        for x in np.eye(policy.in_dim):
-            logits = mlp_forward(policy, x[None])
-            cum, logp = categorical_rows(logits)
-            self._cum.append(cum[0].tolist())
-            self._logp.append(logp[0].tolist())
-            self.greedy.append(int(np.argmax(logits)))
+                logp = np.log(policy.probs).tolist()
+            self._rows = list(zip(np.cumsum(policy.probs, axis=1).tolist(), logp,
+                                  np.argmax(policy.probs, axis=1).tolist()))
+        else:
+            self._rows = _NetworkRows(policy)
 
     def act(self, s: int, rng: np.random.Generator):
-        a = sample_index(self._cum[s], rng.random())
-        return a, self._logp[s][a]
+        cum, logp, _ = self._rows[s]
+        a = sample_index(cum, rng.random())
+        return a, logp[a]
+
+    def greedy(self, s: int) -> int:
+        return self._rows[s][2]
 
 
 def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
@@ -403,13 +413,18 @@ def _sgd_epochs(
     state: TrainerState,
 ) -> None:
     """``config.epochs`` passes of Adam over shuffled minibatches of the
-    ``config.rollout_len`` samples of one batch."""
+    ``config.rollout_len`` samples of one batch; a non-finite loss or
+    gradient raises before anything is clipped or updated."""
     for _ in range(config.epochs):
         perm = rng.permutation(config.rollout_len)
         for start in range(0, config.rollout_len, config.minibatch):
             idx = perm[start : start + config.minibatch]
             loss, grads = build_loss(idx)
             _check_finite(loss, what, state)
+            if not np.isfinite(grads).all():  # name the first tensor holding one
+                for name, g in params.views(grads).items():
+                    first = float(g.flat[np.isfinite(g).argmin()])
+                    _check_finite(first, f"{what} gradient for tensor {name!r}", state)
             clip_global_norm(grads, config.grad_clip)
             adam_step(params, grads, adam, config.beta)
 
@@ -459,7 +474,7 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
 
     Each episode resets the given env with the evaluation rng and follows
     the most probable action or the Gaussian mean.  On a `TabularEnv` it is
-    looked up per state in `TabularActor.greedy`.
+    looked up per state with `TabularActor.greedy`.
     """
     greedy = TabularActor(policy).greedy if isinstance(env, TabularEnv) else None
     per_episode = np.empty(episodes)
@@ -468,7 +483,7 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
         total = 0.0
         for _ in range(horizon):
             if greedy is not None:
-                action = greedy[env.state]
+                action = greedy(env.state)
             else:
                 action = deterministic_action(policy, obs[None])[0]
             result = env.step(action)

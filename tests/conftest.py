@@ -51,10 +51,11 @@ def finite_difference_max_rel_err(build_loss, params, h=1e-5):
     """Worst per-tensor relative gap between closed-form and central-difference gradients.
 
     ``build_loss`` must return ``(loss, grads)`` computed from the current
-    tensors of ``params`` on every call; the relative error is measured per
+    tensors of ``params`` on every call, with ``grads`` a vector in the
+    layout of ``params.flat``; the relative error is measured per named
     tensor against the larger of the two gradient norms.
     """
-    grads = build_loss()[1]
+    grads = params.views(build_loss()[1])
     worst = 0.0
     for name, tensor in params.tensors.items():
         fd = np.zeros_like(tensor)

@@ -344,9 +344,9 @@ class TestAcceptance:
         worst_delta = float(np.abs(batch.td_residual).max())
         worst_adv = float(np.abs(batch.advantage).max())
         _, vgrads = value_loss(value, batch, 0.5, b, 0.3)
-        worst_vgrad = max(float(np.abs(g).max()) for g in vgrads.values())
+        worst_vgrad = float(np.abs(vgrads).max())
         _, pgrads = policy_loss(policy, batch, 0.2)
-        worst_pgrad = max(float(np.abs(g).max()) for g in pgrads.values())
+        worst_pgrad = float(np.abs(pgrads).max())
 
         ok = max(worst_delta, worst_adv, worst_vgrad, worst_pgrad, abs(b)) <= 1e-10
         _report(

@@ -270,6 +270,33 @@ class TestTrain:
         assert set(nets) == {"policy", "value"}
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_dumps_state(self, tmp_path, monkeypatch, capsys):
+        # old log-probabilities of -800 at positive advantage overflow the
+        # ratio: the policy loss stays finite while its gradient is NaN
+        original = training.compute_residuals_and_advantages
+
+        def overflow(batch, *args):
+            original(batch, *args)
+            batch.old_log_prob[batch.advantage > 0] = -800.0
+            return batch
+
+        monkeypatch.setattr(training, "compute_residuals_and_advantages", overflow)
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run.csv"
+        code = run_cli(["train", "--env", "twostate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "non-finite-loss"
+        assert "policy loss gradient for tensor 'w0'" in payload["detail"]["message"]
+        dump = out.with_suffix(".dump.npz")
+        assert payload["detail"]["state_dump"] == str(dump)
+        nets, adams = load_checkpoint(dump)
+        assert set(nets) == {"policy", "value"}
+        assert adams["policy"].t == 0
+        assert not out.exists()
+
 
 class TestAblateNu:
     def test_small_grid(self, tmp_path, capsys):

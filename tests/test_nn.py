@@ -7,7 +7,6 @@ from scipy.special import log_softmax
 
 from apo.nn import (
     LOG_2PI,
-    AdamState,
     adam_step,
     backward,
     clip_global_norm,
@@ -38,7 +37,7 @@ class TestBackward:
         c = np.random.default_rng(72).normal(size=4)
         v, vjp = value_vjp(params, x)
         r = v - c
-        grads = vjp(2.0 * r / 4.0)
+        grads = params.views(vjp(2.0 * r / 4.0))
         np.testing.assert_allclose(grads["w0"][:, 0], 2.0 * x.T @ r / 4.0, atol=1e-15)
         np.testing.assert_allclose(grads["b0"], [2.0 * r.mean()], atol=1e-15)
 
@@ -48,8 +47,9 @@ class TestBackward:
         params = init_mlp(np.random.default_rng(73), 3, 2, "gaussian", hidden=(4,))
         acts: list = []
         out = mlp_forward(params, np.random.default_rng(74).normal(size=(5, 3)), acts)
-        grads = backward(params, acts, np.ones_like(out))
-        assert list(grads) == list(params.tensors)
+        flat = backward(params, acts, np.ones_like(out))
+        assert flat.shape == params.flat.shape
+        grads = params.views(flat)
         np.testing.assert_array_equal(grads["log_std"], np.zeros(2))
         assert np.abs(grads["w0"]).sum() > 0.0
 
@@ -81,7 +81,7 @@ class TestBackward:
         x = np.eye(3)
         actions = np.array([1, 1, 0])
         _, vjp = policy_log_prob_vjp(params, x, actions)
-        grads = vjp(np.ones(3))
+        grads = params.views(vjp(np.ones(3)))
         expected = np.eye(2)[actions] - np.array([0.25, 0.75])
         np.testing.assert_allclose(grads["w0"], expected, atol=1e-15)
         np.testing.assert_allclose(grads["b0"], expected.sum(axis=0), atol=1e-15)
@@ -97,19 +97,29 @@ class TestBackward:
         backward(params, acts, np.zeros((4, 1)))
 
 
-class TestGradientOrderAndOwnership:
-    """Gradients come back in ``params.tensors`` order and own their memory,
-    because `clip_global_norm` sums them in dict order and scales them in
-    place."""
+def per_tensor_backward(params, acts, g_out, log_std_grad=None):
+    """Reference for `backward`: one fresh array per tensor, by name."""
+    grads, g = {}, g_out
+    for i in range(len(params.hidden), -1, -1):
+        grads[f"w{i}"] = acts[i].T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ params.tensors[f"w{i}"].T) * (1.0 - np.square(acts[i]))
+    if params.head == "gaussian":
+        grads["log_std"] = np.zeros(params.out_dim) if log_std_grad is None else log_std_grad
+    return {name: grads[name] for name in params.tensors}
 
-    def _check(self, params, acts, grads):
-        assert list(grads) == list(params.tensors)
-        owners = [*params.tensors.values(), *acts]
-        values = list(grads.values())
-        for i, g in enumerate(values):
-            assert g.shape == params.tensors[list(grads)[i]].shape
-            for other in owners + values[:i]:
-                assert not np.shares_memory(g, other)
+
+class TestGradientOrderAndOwnership:
+    """The gradient is one fresh vector in the layout of ``params.flat`` that
+    aliases nothing, because `clip_global_norm` scales it in place and
+    `adam_step` reads it in the order of ``params.flat``."""
+
+    def _check(self, params, acts, flat, others):
+        assert flat.shape == params.flat.shape and flat.dtype == np.float64
+        assert flat.flags.c_contiguous and flat.base is None
+        for other in [params.flat, *acts, *others]:
+            assert not np.shares_memory(flat, other)
 
     @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 3), ("gaussian", 2)])
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
@@ -118,15 +128,60 @@ class TestGradientOrderAndOwnership:
         obs = np.random.default_rng(78).normal(size=(6, 3))
         acts: list = []
         out = mlp_forward(params, obs, acts)
-        self._check(params, acts, backward(params, acts, np.ones_like(out)))
+        g_out = np.random.default_rng(80).normal(size=out.shape)
+        flat = backward(params, acts, g_out)
+        self._check(params, acts, flat, [g_out])
+        # the vector holds each named gradient where params.flat holds the tensor
+        ref = per_tensor_backward(params, acts, g_out)
+        assert list(params.views(flat)) == list(params.tensors) == list(ref)
+        np.testing.assert_array_equal(flat, np.concatenate([x.ravel() for x in ref.values()]))
         if head == "value":
             _, vjp = value_vjp(params, obs)
         else:
             actions = (np.array([0, 2, 1, 1, 0, 2]) if head == "categorical"
                        else np.random.default_rng(79).normal(size=(6, 2)))
             _, vjp = policy_log_prob_vjp(params, obs, actions)
-        self._check(params, [], vjp(np.full(6, 0.5)))
+        first = vjp(np.full(6, 0.5))
+        self._check(params, [], first, [flat])
+        second = vjp(np.full(6, 0.5))
+        self._check(params, [], second, [flat, first])
+        np.testing.assert_array_equal(first, second)
 
+
+class TestLayout:
+    """``params.tensors`` are views into ``params.flat``, wherever the
+    parameters come from."""
+
+    def _check_views(self, params):
+        assert list(params.tensors) == list(params.views(params.flat))
+        assert sum(x.size for x in params.tensors.values()) == params.flat.size
+        for tensor in params.tensors.values():
+            assert np.shares_memory(tensor, params.flat)
+
+    @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 3), ("gaussian", 2)])
+    def test_views_after_init_load_and_deepcopy(self, tmp_path, head, out_dim):
+        params = init_mlp(np.random.default_rng(90), 3, out_dim, head, (5, 4))
+        self._check_views(params)
+        save_checkpoint(tmp_path / "c.npz", {"net": params})
+        loaded = load_checkpoint(tmp_path / "c.npz")[0]["net"]
+        self._check_views(loaded)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+        clone = copy.deepcopy(params)
+        self._check_views(clone)
+        assert not np.shares_memory(clone.flat, params.flat)
+        np.testing.assert_array_equal(clone.flat, params.flat)
+        clone.tensors["w0"][0, 0] += 1.0
+        assert clone.flat[0] == params.flat[0] + 1.0
+
+    def test_adam_step_shows_through_the_views(self):
+        params = init_mlp(np.random.default_rng(91), 3, 2, "gaussian", (5,))
+        before = copy.deepcopy(params.tensors)
+        state = init_adam_state(params)
+        adam_step(params, np.ones_like(params.flat), state, 1e-2)
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(tensor, before[name] - 1e-2 / (1.0 + 1e-8))
+            np.testing.assert_array_equal(params.views(state.m)[name],
+                                          np.full(tensor.shape, 1.0 - 0.9))
 
 class TestInit:
     def test_same_seed_identical(self):
@@ -380,36 +435,22 @@ class TestAdam:
         state = init_adam_state(params)
         rng = np.random.default_rng(81)
         for t in range(1, 51):
-            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=x.shape)
-                     for k, x in ref.tensors.items()}
-            adam_step(params, {k: g.copy() for k, g in grads.items()}, state, 3e-3)
-            per_tensor_adam_step(ref, grads, m, v, t, 3e-3)
+            grads = np.empty_like(params.flat)
+            for g in params.views(grads).values():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=g.shape)
+            adam_step(params, grads.copy(), state, 3e-3)
+            per_tensor_adam_step(ref, ref.views(grads), m, v, t, 3e-3)
         assert state.t == 50
         for k in ref.tensors:
             np.testing.assert_array_equal(params.tensors[k], ref.tensors[k])
-            np.testing.assert_array_equal(state.m[k], m[k])
-            np.testing.assert_array_equal(state.v[k], v[k])
-
-    def test_non_finite_gradient_named_before_any_update(self):
-        params = init_mlp(np.random.default_rng(82), 2, 1, "value", hidden=(4,))
-        state = init_adam_state(params)
-        adam_step(params, {k: np.ones_like(x) for k, x in params.tensors.items()}, state, 1e-3)
-        before = copy.deepcopy((params.tensors, state.m, state.v))
-        grads = {k: np.ones_like(x) for k, x in params.tensors.items()}
-        grads["b1"][0] = np.inf
-        with pytest.raises(ValueError, match="tensor 'b1'"):
-            adam_step(params, grads, state, 1e-3)
-        assert state.t == 1
-        for got, want in zip((params.tensors, state.m, state.v), before):
-            for k in want:
-                np.testing.assert_array_equal(got[k], want[k])
+            np.testing.assert_array_equal(params.views(state.m)[k], m[k])
+            np.testing.assert_array_equal(params.views(state.v)[k], v[k])
 
     def test_first_step_is_signed_learning_rate(self):
         params = init_mlp(np.random.default_rng(39), 1, 1, "value", hidden=())
         params.tensors["w0"][:] = 1.0
         state = init_adam_state(params)
-        grads = {"w0": np.array([[0.5]]), "b0": np.array([0.0])}
-        adam_step(params, grads, state, lr=1e-3)
+        adam_step(params, np.array([0.5, 0.0]), state, lr=1e-3)  # (w0, b0)
         # bias correction makes the very first step lr * g / (|g| + eps)
         assert params.tensors["w0"][0, 0] == pytest.approx(1.0 - 1e-3, abs=1e-10)
         assert state.t == 1
@@ -418,7 +459,7 @@ class TestAdam:
         params = init_mlp(np.random.default_rng(40), 2, 1, "value", hidden=(4,))
         before = {k: v.copy() for k, v in params.tensors.items()}
         state = init_adam_state(params)
-        adam_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, state, 1e-3)
+        adam_step(params, np.zeros_like(params.flat), state, 1e-3)
         for k in before:
             np.testing.assert_array_equal(params.tensors[k], before[k])
 
@@ -429,7 +470,7 @@ class TestAdam:
         state = init_adam_state(params)
         for _ in range(50):
             x = params.tensors["w0"][0, 0]
-            adam_step(params, {"w0": np.array([[2.0 * x]]), "b0": np.zeros(1)}, state, 1e-2)
+            adam_step(params, np.array([2.0 * x, 0.0]), state, 1e-2)
         assert abs(params.tensors["w0"][0, 0]) < 1.0
 
     def test_matches_reference_trajectory(self):
@@ -441,7 +482,7 @@ class TestAdam:
         rng = np.random.default_rng(43)
         for t in range(1, 11):
             grads = {k: rng.normal(size=val.shape) for k, val in reference.items()}
-            adam_step(params, {k: g.copy() for k, g in grads.items()}, state, 3e-4)
+            adam_step(params, np.concatenate([g.ravel() for g in grads.values()]), state, 3e-4)
             for k in reference:
                 m[k] = 0.9 * m[k] + 0.1 * grads[k]
                 v2[k] = 0.999 * v2[k] + 0.001 * grads[k] ** 2
@@ -451,32 +492,48 @@ class TestAdam:
         for k in reference:
             np.testing.assert_allclose(params.tensors[k], reference[k], atol=1e-15)
 
-    def test_non_finite_gradient_rejected(self):
-        params = init_mlp(np.random.default_rng(44), 1, 1, "value", hidden=())
-        state = init_adam_state(params)
-        grads = {"w0": np.array([[np.nan]]), "b0": np.zeros(1)}
-        with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, grads, state, 1e-3)
+
+def per_tensor_norm(grads: dict[str, np.ndarray]) -> float:
+    """Reference for `clip_global_norm`'s norm: tensor by tensor, as it was
+    summed before gradients were one vector."""
+    return math.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
 
 
 class TestClipGlobalNorm:
     def test_rescales_above_threshold(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        grads = np.array([3.0, 0.0, 4.0])
         out = clip_global_norm(grads, 1.0)
         assert out is grads
-        np.testing.assert_allclose(grads["a"], [0.6, 0.0], atol=1e-15)
-        np.testing.assert_allclose(grads["b"], [0.8], atol=1e-15)
+        np.testing.assert_allclose(grads, [0.6, 0.0, 0.8], atol=1e-15)
 
     def test_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = np.array([0.3, 0.4])
         clip_global_norm(grads, 1.0)
-        np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
+        np.testing.assert_array_equal(grads, [0.3, 0.4])
 
     def test_huge_gradient_lands_on_the_bound(self):
-        grads = {"a": np.full((10, 10), 1e9)}
+        grads = np.full(100, 1e9)
         clip_global_norm(grads, 10.0)
-        total = math.sqrt(float(np.sum(np.square(grads["a"]))))
+        total = math.sqrt(float(np.sum(np.square(grads))))
         assert total <= 10.0 + 1e-9
+
+    @pytest.mark.parametrize("head,out_dim", [("value", 1), ("gaussian", 2), ("categorical", 3)])
+    def test_norm_and_decision_match_per_tensor_reference(self, head, out_dim):
+        params = init_mlp(np.random.default_rng(92), 3, out_dim, head, (64, 64))
+        rng = np.random.default_rng(93)
+        for _ in range(40):
+            flat = np.empty_like(params.flat)
+            for g in params.views(flat).values():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-4, 2), size=g.shape)
+            ref = per_tensor_norm(params.views(flat))
+            assert math.sqrt(float(flat @ flat)) == pytest.approx(ref, rel=1e-15)
+            # thresholds far enough from the norm that no summation order flips them
+            for max_norm in (0.5 * ref, ref * (1.0 - 1e-7), ref * (1.0 + 1e-7), 2.0 * ref):
+                clipped = clip_global_norm(flat.copy(), max_norm)
+                if ref > max_norm:
+                    np.testing.assert_allclose(clipped, flat * (max_norm / ref), rtol=1e-15)
+                else:
+                    np.testing.assert_array_equal(clipped, flat)
 
 
 class TestCheckpoint:
@@ -485,7 +542,7 @@ class TestCheckpoint:
         value = init_mlp(np.random.default_rng(46), 3, 1, "value", hidden=(8,))
         adam = {"policy": init_adam_state(policy), "value": init_adam_state(value)}
         adam["policy"].t = 7
-        adam["policy"].m["w0"][:] = 0.25
+        policy.views(adam["policy"].m)["w0"][:] = 0.25
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, {"policy": policy, "value": value}, adam)
         nets, adams = load_checkpoint(path)
@@ -495,7 +552,8 @@ class TestCheckpoint:
         for name, tensor in policy.tensors.items():
             np.testing.assert_array_equal(nets["policy"].tensors[name], tensor)
         assert adams["policy"].t == 7
-        np.testing.assert_array_equal(adams["policy"].m["w0"], np.full((3, 8), 0.25))
+        np.testing.assert_array_equal(nets["policy"].views(adams["policy"].m)["w0"],
+                                      np.full((3, 8), 0.25))
 
     def test_save_load_continue_matches_uninterrupted(self, tmp_path):
         obs = np.random.default_rng(83).normal(size=(32, 3))

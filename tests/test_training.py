@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from apo import training
 from apo.envs import TabularEnv, make_env, make_two_loop, make_two_state, switch_policy
-from apo.mdp import Mdp, TabularPolicy, random_ergodic_mdp
+from apo.mdp import Mdp, TabularPolicy, random_ergodic_mdp, sample_index
 from apo.nn import (
+    categorical_rows,
     deterministic_action,
     init_adam_state,
     init_mlp,
+    mlp_forward,
     policy_log_prob,
     sample_action,
     value_forward,
@@ -81,6 +83,17 @@ def states_from_obs(obs: np.ndarray) -> np.ndarray:
 def random_mdp_8():
     """The 8-state, 4-action MDP whose row (0, 0) sums to 0.9999999999999998."""
     return random_ergodic_mdp(np.random.default_rng(0), 8, 4)
+
+
+def eager_network_table(params):
+    """Reference for `TabularActor` on a network: every state's row up front,
+    each from the (1, S) forward on a row of the identity."""
+    rows = []
+    for x in np.eye(params.in_dim):
+        logits = mlp_forward(params, x[None])
+        cum, logp = categorical_rows(logits)
+        rows.append((cum[0].tolist(), logp[0].tolist(), int(np.argmax(logits))))
+    return rows
 
 
 def per_step_rollout(env, params, value, n_steps, rng):
@@ -297,7 +310,36 @@ class TestActors:
             for _ in range(50):
                 a_ref, logp_ref = sample_action(policy, obs, rng_ref)
                 assert actor.act(s, rng) == (int(a_ref[0]), float(logp_ref[0]))
-            assert actor.greedy[s] == int(deterministic_action(policy, obs)[0])
+            assert actor.greedy(s) == int(deterministic_action(policy, obs)[0])
+
+    def test_network_rows_built_on_first_visit(self, monkeypatch):
+        # a random 1000-state MDP with three successors per (state, action):
+        # a walk visits a few hundred states, and each visited state costs
+        # one forward, whose row equals the table built up front
+        n = 1000
+        rng_mdp = np.random.default_rng(94)
+        successors = rng_mdp.integers(0, n, size=(n, 2, 3))
+        policy = init_mlp(np.random.default_rng(95), n, 2, "categorical", (16,))
+        policy.tensors["w1"] *= 4.0  # spread the action probabilities
+        eager = eager_network_table(policy)
+        forwards = []
+        monkeypatch.setattr(training, "mlp_forward",
+                            lambda p, x: forwards.append(int(np.argmax(x))) or mlp_forward(p, x))
+        actor = TabularActor(policy)
+        assert forwards == []
+        rng, rng_ref = np.random.default_rng(96), np.random.default_rng(96)
+        s, actions = 0, set()
+        for _ in range(600):
+            a, logp = actor.act(s, rng)
+            cum, logp_ref, _ = eager[s]
+            a_ref = sample_index(cum, rng_ref.random())
+            assert (a, logp) == (a_ref, logp_ref[a_ref])
+            assert actor.greedy(s) == eager[s][2]
+            actions.add(a)
+            s = int(successors[s, a, rng_mdp.integers(3)])
+        assert sorted(forwards) == sorted(set(forwards))
+        assert 100 < len(forwards) < n
+        assert actions == {0, 1}
 
     def test_greedy_reads_probabilities_not_log_probabilities(self):
         # two adjacent doubles whose logarithms round to the same double
@@ -307,7 +349,7 @@ class TestActors:
         q = np.nextafter(p, 1.0)
         row = np.concatenate([[p, q], np.full(126, (1.0 - p - q) / 126)])
         actor = TabularActor(TabularPolicy(np.tile(row, (2, 1))))
-        assert actor.greedy == [1, 1]
+        assert [actor.greedy(s) for s in range(2)] == [1, 1]
 
     def test_neural_actor_returns_consistent_log_prob(self):
         params = init_mlp(np.random.default_rng(2), 2, 2, "categorical", (8,))
@@ -570,8 +612,7 @@ class TestLosses:
         value, batch = self._swap_batch_with_critic()
         loss, grads = value_loss(value, batch, eta_hat=0.5, b=0.0, nu=0.0)
         assert loss == 0.0
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads, np.zeros_like(value.flat))
 
     def test_value_loss_targets_are_frozen(self):
         value, batch = self._swap_batch_with_critic()
@@ -623,8 +664,7 @@ class TestLosses:
                                 np.random.default_rng(32))
         batch.advantage = np.zeros(32)
         _, grads = policy_loss(policy, batch, 0.2)
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads, np.zeros_like(policy.flat))
 
     def _ratio_two_batch(self, advantage_sign):
         policy = init_mlp(np.random.default_rng(33), 2, 2, "categorical", (8,))
@@ -642,8 +682,7 @@ class TestLosses:
         policy, batch = self._ratio_two_batch(+1.0)
         loss, grads = policy_loss(policy, batch, 0.2)
         np.testing.assert_allclose(loss, -1.2, rtol=1e-12)
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads, np.zeros_like(policy.flat))
 
     def test_negative_advantage_escapes_clip(self):
         # with negative advantages the min keeps the unclipped branch and
@@ -651,7 +690,7 @@ class TestLosses:
         policy, batch = self._ratio_two_batch(-1.0)
         loss, grads = policy_loss(policy, batch, 0.2)
         np.testing.assert_allclose(loss, 2.0, rtol=1e-12)
-        total = sum(float(np.abs(g).sum()) for g in grads.values())
+        total = float(np.abs(grads).sum())
         assert total > 1e-3
 
     def test_minibatch_indices_select_rows(self, two_state):
@@ -678,9 +717,9 @@ class TestLosses:
             lambda: policy_loss(policy, batch, 0.2), policy)
         assert err_v < 1e-4
         assert err_p < 1e-4
-        # clip_global_norm sums the gradients in dict order
-        assert list(value_loss(value, batch, 0.4, 0.2, 0.3)[1]) == list(value.tensors)
-        assert list(policy_loss(policy, batch, 0.2)[1]) == list(policy.tensors)
+        # the losses return one vector in the layout of params.flat
+        assert value_loss(value, batch, 0.4, 0.2, 0.3)[1].shape == value.flat.shape
+        assert policy_loss(policy, batch, 0.2)[1].shape == policy.flat.shape
 
 
 class TestAlgoTerms:
@@ -714,6 +753,56 @@ class TestAlgoTerms:
                 state.value, state.value_adam, cfg,
                 np.random.default_rng(42), "value loss", state)
         assert err.value.state is state
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_sgd_epochs_names_non_finite_gradient_before_any_update(self, two_state, monkeypatch):
+        env = TabularEnv(two_state, np.random.default_rng(0))
+        cfg = tiny_config()
+        state = init_trainer(env, cfg, np.random.default_rng(43))
+        batch = collect_rollout(env, NeuralActor(state.policy), state.value, 64,
+                                np.random.default_rng(44))
+        compute_residuals_and_advantages(batch, 0.0, 0.9)
+        batch.advantage = np.abs(batch.advantage) + 0.1
+        batch.old_log_prob[:] = -800.0
+        # the ratio overflows and the clipped-out branch computes 0 * inf
+        loss, grads = policy_loss(state.policy, batch, cfg.clip_eps)
+        assert math.isfinite(loss) and np.isnan(grads).all()
+        state.iteration = 4
+        # one Adam step first, so that the moments to keep are not zeros
+        training.adam_step(state.policy, np.ones_like(state.policy.flat), state.policy_adam, 1e-3)
+        before = copy.deepcopy((state.policy.flat, state.policy_adam))
+        clipped = []
+        monkeypatch.setattr(training, "clip_global_norm", lambda g, m: clipped.append(g))
+        with pytest.raises(NonFiniteLossError) as err:
+            _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
+                        state.policy, state.policy_adam, cfg, np.random.default_rng(45),
+                        "policy loss", state)
+        assert err.value.state is state
+        assert "policy loss gradient for tensor 'w0'" in str(err.value)
+        assert "iteration 4" in str(err.value)
+        assert clipped == []
+        np.testing.assert_array_equal(state.policy.flat, before[0])
+        np.testing.assert_array_equal(state.policy_adam.m, before[1].m)
+        np.testing.assert_array_equal(state.policy_adam.v, before[1].v)
+        assert state.policy_adam.t == 1
+
+    def test_sgd_epochs_names_the_first_non_finite_tensor(self, two_state):
+        env = TabularEnv(two_state, np.random.default_rng(0))
+        cfg = tiny_config()
+        state = init_trainer(env, cfg, np.random.default_rng(46))
+        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)),
+                                state.value, 64, np.random.default_rng(47))
+
+        def poisoned(idx):
+            loss, grads = value_loss(state.value, batch, 0.0, 0.0, 0.0, 1.0, idx)
+            state.value.views(grads)["b1"][0] = np.inf
+            return loss, grads
+
+        with pytest.raises(NonFiniteLossError, match="gradient for tensor 'b1'"):
+            _sgd_epochs(poisoned, state.value, state.value_adam, cfg,
+                        np.random.default_rng(48), "value loss", state)
+        assert state.value_adam.t == 0
 
 
 class TestPpoPathEquivalence:
