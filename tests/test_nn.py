@@ -156,7 +156,7 @@ class TestLayout:
         assert list(params.tensors) == list(params.views(params.flat))
         assert sum(x.size for x in params.tensors.values()) == params.flat.size
         for tensor in params.tensors.values():
-            assert np.shares_memory(tensor, params.flat)
+            assert tensor.base is params.flat
 
     @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 3), ("gaussian", 2)])
     def test_views_after_init_load_and_deepcopy(self, tmp_path, head, out_dim):
@@ -182,6 +182,7 @@ class TestLayout:
             np.testing.assert_array_equal(tensor, before[name] - 1e-2 / (1.0 + 1e-8))
             np.testing.assert_array_equal(params.views(state.m)[name],
                                           np.full(tensor.shape, 1.0 - 0.9))
+
 
 class TestInit:
     def test_same_seed_identical(self):
