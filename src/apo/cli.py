@@ -22,7 +22,7 @@ import numpy as np
 
 from apo.analysis import analysis_residuals, analyze_policy
 from apo.bounds import BoundReport, check_distribution_identity, check_performance_bound
-from apo.envs import make_env
+from apo.envs import TabularEnv, make_env
 from apo.mdp import (
     MAX_STATES,
     MdpFileError,
@@ -188,7 +188,7 @@ def cmd_ablate_nu(args) -> int:
     nus = [float(x) for x in args.nus.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
     env_probe = make_env(args.env, np.random.default_rng(0))
-    if not getattr(env_probe, "discrete", False):
+    if not isinstance(env_probe, TabularEnv):
         raise ValueError("ablate-nu needs a tabular environment")
     n_actions = env_probe.n_actions
     n_states = env_probe.obs_dim

@@ -42,8 +42,6 @@ class StepResult:
 class TabularEnv:
     """Finite MDP exposed through one-hot observations and integer actions."""
 
-    discrete = True
-
     def __init__(self, mdp: Mdp, rng: np.random.Generator):
         self.mdp = mdp
         self.rng = rng
@@ -86,7 +84,6 @@ class PendulumEnv:
     velocity to [-8, 8].
     """
 
-    discrete = False
     action_dim = 1
     obs_dim = 3
     max_torque = 2.0

@@ -209,21 +209,6 @@ def _log_prob_grad(params: MlpParams, terms, g: np.ndarray):
     return g_out, g_log_std
 
 
-def policy_forward(params: MlpParams, obs: np.ndarray):
-    """Distribution parameters for a batch of observations.
-
-    Categorical heads return the (B, actions) probability rows; Gaussian
-    heads return ``(mean, std)`` with the state-independent std shared
-    across the batch.
-    """
-    if params.head == "categorical":
-        e, s, _ = _softmax_terms(mlp_forward(params, obs))
-        return e / s[:, None]
-    if params.head == "gaussian":
-        return mlp_forward(params, obs), np.exp(params.tensors["log_std"])
-    raise ValueError(f"head {params.head!r} is not a policy head")
-
-
 def policy_log_prob(params: MlpParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Log-probabilities of a batch of actions, shape (B,)."""
     return _log_prob(params, mlp_forward(params, obs), actions)[0]

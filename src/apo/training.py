@@ -19,9 +19,9 @@ The value-drift experiment (the ``nu`` ablation) runs through `train`'s
 own loop with a fixed behavior policy in place of the policy network: no
 policy step, and one evaluation, after the last iteration.
 
-On a `TabularEnv` every fixed policy acts through one per-state table,
-`TabularActor`: the drift experiment's behavior policy, the policy network
-while one rollout runs, and the greedy actions `evaluate` follows.
+`collect_rollout` and `evaluate` take the acting policy, a network or a
+`TabularPolicy`.  On a `TabularEnv` either acts through one per-state table,
+`TabularActor`, built per call and filled on each state's first visit.
 
 Randomness: a master seed spawns four child streams via
 ``np.random.SeedSequence(seed).spawn(4)`` in the order (environment,
@@ -130,8 +130,9 @@ class TrainConfig:
                      "eval_horizon", "eval_episodes"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be positive")
-        if self.seed < 0:
-            problems.append(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "eval_every"):  # eval_every 0 turns evaluation off
+            if getattr(self, name) < 0:
+                problems.append(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.minibatch > self.rollout_len:
             problems.append("minibatch cannot exceed rollout_len")
         if not (self.grad_clip > 0.0):
@@ -185,76 +186,64 @@ class RolloutBatch:
     advantage: np.ndarray | None = None
 
 
-class NeuralActor:
-    """Samples from an MLP policy head one observation at a time."""
-
-    def __init__(self, params: MlpParams):
-        self.params = params
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        actions, logp = sample_action(self.params, obs[None], rng)
-        action = int(actions[0]) if self.params.head == "categorical" else actions[0]
-        return action, float(logp[0])
-
-
-class _NetworkRows(dict):
-    """State -> `TabularActor` row of a frozen network, built on first read."""
-
-    def __init__(self, params: MlpParams):
-        self.params = params
-
-    def __missing__(self, s: int):
-        logits = mlp_forward(self.params, np.eye(1, self.params.in_dim, s))
-        cum, logp = categorical_rows(logits)
-        row = self[s] = (cum[0].tolist(), logp[0].tolist(), int(np.argmax(logits)))
-        return row
-
-
-class TabularActor:
-    """Per-state table of a fixed policy on a `TabularEnv`; `act` takes the
-    state index.  An action of probability zero is never drawn.
+class TabularActor(dict):
+    """Per-state table of a fixed policy on a `TabularEnv`: state -> (cumulative
+    probabilities, log-probabilities, greedy action), each row built on the
+    state's first read.  `act` takes the state index.  An action of
+    probability zero is never drawn.
 
     ``policy`` is a `TabularPolicy` or a categorical `MlpParams`, whose
     parameters must not change while the table is in use.  A network's row
-    is built on the state's first visit from the (1, S) forward on its
-    one-hot row, as the per-step path runs it, so draws and log-probabilities
-    match that path bit for bit (a batched forward differs in the last ulp).
-    `greedy` is the most probable action, read from the probabilities or
-    the logits: log-probabilities of a near-tie can round equal.
+    comes from the (1, S) forward on the state's one-hot row, as the
+    per-step path runs it, so draws and log-probabilities match that path
+    bit for bit (a batched forward differs in the last ulp).  `greedy` is
+    the most probable action, read from the probabilities or the logits:
+    log-probabilities of a near-tie can round equal.
     """
 
     def __init__(self, policy: TabularPolicy | MlpParams):
-        if isinstance(policy, TabularPolicy):
+        self.policy = policy
+
+    def __missing__(self, s: int):
+        if isinstance(self.policy, TabularPolicy):
+            probs = self.policy.probs[s]
             with np.errstate(divide="ignore"):
-                logp = np.log(policy.probs).tolist()
-            self._rows = list(zip(np.cumsum(policy.probs, axis=1).tolist(), logp,
-                                  np.argmax(policy.probs, axis=1).tolist()))
+                logp = np.log(probs).tolist()
+            row = (np.cumsum(probs).tolist(), logp, int(np.argmax(probs)))
         else:
-            self._rows = _NetworkRows(policy)
+            logits = mlp_forward(self.policy, np.eye(1, self.policy.in_dim, s))
+            cum, logp = categorical_rows(logits)
+            row = (cum[0].tolist(), logp[0].tolist(), int(np.argmax(logits)))
+        self[s] = row
+        return row
 
     def act(self, s: int, rng: np.random.Generator):
-        cum, logp, _ = self._rows[s]
+        cum, logp, _ = self[s]
         a = sample_index(cum, rng.random())
         return a, logp[a]
 
     def greedy(self, s: int) -> int:
-        return self._rows[s][2]
+        return self[s][2]
 
 
-def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
-    """Step the env ``n_steps`` times from its current state (no reset).
+def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> RolloutBatch:
+    """Step the env ``n_steps`` times from its current state (no reset) with
+    ``policy``, a network or a `TabularPolicy`, acting.
 
-    On a `TabularEnv` the actor acts on ``env.state``, and a neural actor
-    acts through a `TabularActor` built for this call, since the parameters
-    are frozen while it runs; elsewhere the actor acts on the observation.
-    Values for all visited states (including the state after the last step)
-    come from one batched critic pass at the current parameters, so
+    On a `TabularEnv` it acts on ``env.state`` through a `TabularActor`
+    built for this call, since its parameters are frozen while it runs;
+    elsewhere each step is one `sample_action` on the observation.  Values
+    for all visited states (including the state after the last step) come
+    from one batched critic pass at the current parameters, so
     ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
     """
     tabular = isinstance(env, TabularEnv)
-    if tabular and isinstance(actor, NeuralActor):
-        actor = TabularActor(actor.params)
-    act = actor.act
+    if tabular:
+        act = TabularActor(policy).act
+    else:
+        def act(obs, rng):
+            actions, logp = sample_action(policy, obs[None], rng)
+            return actions[0], float(logp[0])
     obs = env.observation()
     all_obs, actions, rewards, old_logp = [obs], [], [], []
     for _ in range(n_steps):
@@ -267,10 +256,9 @@ def collect_rollout(env, actor, value_params: MlpParams, n_steps: int, rng) -> R
         old_logp.append(logp)
     all_obs = np.array(all_obs, dtype=np.float64)
     values = value_forward(value_params, all_obs)
-    discrete = getattr(env, "discrete", True)
     return RolloutBatch(
         obs=all_obs[:-1].copy(),
-        actions=np.array(actions, dtype=np.int64 if discrete else np.float64),
+        actions=np.array(actions, dtype=np.int64 if tabular else np.float64),
         rewards=np.array(rewards, dtype=np.float64),
         old_log_prob=np.array(old_logp, dtype=np.float64),
         value=values[:-1].copy(),
@@ -341,7 +329,8 @@ def _clipped_surrogate(
     g = -1.0 / logp.size
     inside = (ratio >= lo) & (ratio <= hi)
     g_ratio = (g * take_unclipped) * adv + ((g * ~take_unclipped) * adv) * inside
-    return float(loss), g_ratio * ratio
+    # where no gradient passes, a ratio that overflowed to inf must give 0, not 0 * inf
+    return float(loss), g_ratio * np.where(take_unclipped | inside, ratio, 0.0)
 
 
 def value_loss(
@@ -495,7 +484,7 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
 
 def init_trainer(env, config: TrainConfig, init_rng: np.random.Generator) -> TrainerState:
     obs_dim = env.obs_dim
-    if getattr(env, "discrete", True):
+    if isinstance(env, TabularEnv):
         policy = init_mlp(init_rng, obs_dim, env.n_actions, "categorical", config.hidden)
     else:
         policy = init_mlp(init_rng, obs_dim, env.action_dim, "gaussian", config.hidden)
@@ -531,12 +520,11 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
 
     if behavior is None:
         state = init_trainer(env, config, init_rng)
-        actor = NeuralActor(state.policy)  # its parameters update in place
     else:
         value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
         state = TrainerState(policy=None, value=value, policy_adam=None,
                              value_adam=init_adam_state(value))
-        actor = TabularActor(behavior)
+    acting = state.policy if behavior is None else behavior  # a network updates in place
     discount, track_averages, nu = _algo_terms(config)
     eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
     log = TrainLog(config=config, state=state)
@@ -544,12 +532,11 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
     env.reset()
     for k in range(1, config.iterations + 1):
         state.iteration = k
-        batch = collect_rollout(env, actor, state.value, config.rollout_len, sample_rng)
-        if track_averages:
+        batch = collect_rollout(env, acting, state.value, config.rollout_len, sample_rng)
+        if track_averages:  # otherwise both stay 0.0
             update_eta_hat(state, batch, config.alpha)
             update_b(state, batch, config.alpha)
-        eta = state.eta_hat if track_averages else 0.0
-        b = state.b if track_averages else 0.0
+        eta, b = state.eta_hat, state.b
 
         if behavior is None:
             compute_residuals_and_advantages(batch, eta, config.lam, discount)
@@ -589,10 +576,8 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
 
         eval_reward = float("nan")
         if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):
-            eval_reward = evaluate(
-                eval_env, state.policy if behavior is None else behavior,
-                config.eval_horizon, config.eval_episodes, eval_rng,
-            )
+            eval_reward = evaluate(eval_env, acting, config.eval_horizon,
+                                   config.eval_episodes, eval_rng)
         log.rows.append(
             LogRow(
                 iteration=k,

@@ -26,7 +26,6 @@ from apo.mdp import TabularPolicy, random_ergodic_mdp, random_policy
 from apo.nn import init_mlp, value_forward
 from apo.training import (
     ENV_STREAM,
-    NeuralActor,
     TrainConfig,
     collect_rollout,
     compute_residuals_and_advantages,
@@ -255,7 +254,7 @@ class TestAcceptance:
                 env = make_env(env_name, np.random.default_rng(rng.integers(2**31)))
                 obs_dim = env.obs_dim
                 hidden = hiddens[int(rng.integers(len(hiddens)))]
-                if getattr(env, "discrete", True):
+                if isinstance(env, TabularEnv):
                     policy = init_mlp(
                         np.random.default_rng(rng.integers(2**31)),
                         obs_dim, env.n_actions, "categorical", hidden,
@@ -271,7 +270,7 @@ class TestAcceptance:
                 )
                 env.reset()
                 batch = collect_rollout(
-                    env, NeuralActor(policy), value, 16,
+                    env, policy, value, 16,
                     np.random.default_rng(rng.integers(2**31)),
                 )
                 eta = float(rng.uniform(-0.5, 0.5))
@@ -292,6 +291,7 @@ class TestAcceptance:
             f"loss configurations (need <=1e-4 on >=20)",
         )
 
+    @pytest.mark.slow
     def test_criterion_08_two_loop_separation(self, separation_runs):
         evals, elapsed = separation_runs
         apo_reach = sum(max(evals["apo"][s]) >= 0.24 for s in range(5))
@@ -312,6 +312,7 @@ class TestAcceptance:
             f"198,656 train steps per run, {elapsed:.0f}s total (<600s)",
         )
 
+    @pytest.mark.slow
     def test_criterion_09_drift_ablation(self, drift_grid):
         nus, out = drift_grid
         wins = sum(out[(1.0, s)] < out[(0.0, s)] for s in range(5))
@@ -336,7 +337,7 @@ class TestAcceptance:
         value.tensors["w0"][:] = [[-0.25], [0.25]]
         value.tensors["b0"][:] = 0.0
 
-        batch = collect_rollout(env, NeuralActor(policy), value, 64,
+        batch = collect_rollout(env, policy, value, 64,
                                 np.random.default_rng(1))
         compute_residuals_and_advantages(batch, eta_hat=0.5, lam=0.9)
         b = float(batch.value.mean())

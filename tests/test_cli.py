@@ -270,19 +270,16 @@ class TestTrain:
         assert set(nets) == {"policy", "value"}
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_non_finite_gradient_dumps_state(self, tmp_path, monkeypatch, capsys):
-        # old log-probabilities of -800 at positive advantage overflow the
-        # ratio: the policy loss stays finite while its gradient is NaN
-        original = training.compute_residuals_and_advantages
+        # the policy loss stays finite while its gradient is NaN
+        original = training.policy_loss
 
-        def overflow(batch, *args):
-            original(batch, *args)
-            batch.old_log_prob[batch.advantage > 0] = -800.0
-            return batch
+        def poisoned(*args):
+            loss, grads = original(*args)
+            grads[:] = np.nan
+            return loss, grads
 
-        monkeypatch.setattr(training, "compute_residuals_and_advantages", overflow)
+        monkeypatch.setattr(training, "policy_loss", poisoned)
         cfg = self.write_config(tmp_path)
         out = tmp_path / "run.csv"
         code = run_cli(["train", "--env", "twostate", "--config", str(cfg), "--out", str(out)])

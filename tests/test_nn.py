@@ -9,13 +9,13 @@ from apo.nn import (
     LOG_2PI,
     adam_step,
     backward,
+    categorical_rows,
     clip_global_norm,
     deterministic_action,
     init_adam_state,
     init_mlp,
     load_checkpoint,
     mlp_forward,
-    policy_forward,
     policy_log_prob,
     policy_log_prob_vjp,
     sample_action,
@@ -614,39 +614,29 @@ def test_full_cycle_bitwise_reproducible():
 
 
 class TestPolicyForward:
+    """The categorical head's distribution, as `categorical_rows` reads it off
+    the logits."""
+
     def test_categorical_rows_are_distributions(self):
         params = init_mlp(np.random.default_rng(60), 3, 4, "categorical", (8,))
         obs = np.random.default_rng(61).normal(size=(6, 3))
-        probs = policy_forward(params, obs)
-        assert probs.shape == (6, 4)
+        cum, logp = categorical_rows(mlp_forward(params, obs))
+        probs = np.exp(logp)
+        assert cum.shape == logp.shape == (6, 4)
         assert np.all(probs > 0.0)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
+        np.testing.assert_allclose(cum, np.cumsum(probs, axis=1), atol=1e-12)
 
     def test_categorical_probs_match_log_probs(self):
         params = init_mlp(np.random.default_rng(62), 2, 3, "categorical", (5,))
         obs = np.random.default_rng(63).normal(size=(4, 2))
-        probs = policy_forward(params, obs)
+        _, logp_all = categorical_rows(mlp_forward(params, obs))
         for a in range(3):
             logp = policy_log_prob(params, obs, np.full(4, a))
-            np.testing.assert_allclose(probs[:, a], np.exp(logp), rtol=1e-12)
+            np.testing.assert_allclose(np.exp(logp_all[:, a]), np.exp(logp), rtol=1e-12)
 
     def test_categorical_argmax_agrees_with_deterministic_action(self):
         params = init_mlp(np.random.default_rng(64), 3, 3, "categorical", (8,))
         obs = np.random.default_rng(65).normal(size=(5, 3))
-        np.testing.assert_array_equal(
-            np.argmax(policy_forward(params, obs), axis=1),
-            deterministic_action(params, obs),
-        )
-
-    def test_gaussian_returns_mean_and_std(self):
-        params = init_mlp(np.random.default_rng(66), 3, 2, "gaussian", (8,))
-        params.tensors["log_std"][:] = [0.1, -0.3]
-        obs = np.random.default_rng(67).normal(size=(4, 3))
-        mu, std = policy_forward(params, obs)
-        np.testing.assert_array_equal(mu, mlp_forward(params, obs))
-        np.testing.assert_allclose(std, np.exp([0.1, -0.3]), rtol=1e-15)
-
-    def test_value_head_is_rejected(self):
-        params = init_mlp(np.random.default_rng(68), 2, 1, "value", (4,))
-        with pytest.raises(ValueError, match="policy head"):
-            policy_forward(params, np.zeros((1, 2)))
+        _, logp = categorical_rows(mlp_forward(params, obs))
+        np.testing.assert_array_equal(np.argmax(logp, axis=1), deterministic_action(params, obs))

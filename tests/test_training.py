@@ -29,7 +29,6 @@ from apo.training import (
     INIT_STREAM,
     LOG_COLUMNS,
     SAMPLE_STREAM,
-    NeuralActor,
     NonFiniteLossError,
     RolloutBatch,
     TabularActor,
@@ -37,6 +36,7 @@ from apo.training import (
     TrainerState,
     _algo_terms,
     _check_finite,
+    _clipped_surrogate,
     _run,
     _sgd_epochs,
     collect_rollout,
@@ -96,6 +96,15 @@ def eager_network_table(params):
     return rows
 
 
+def eager_policy_table(policy):
+    """Reference for `TabularActor` on a `TabularPolicy`: the eager 2-D build
+    that per-state rows replaced."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(policy.probs).tolist()
+    return list(zip(np.cumsum(policy.probs, axis=1).tolist(), logp,
+                    np.argmax(policy.probs, axis=1).tolist()))
+
+
 def per_step_rollout(env, params, value, n_steps, rng):
     """Reference for `collect_rollout`: one `sample_action` forward per env step."""
     obs = env.observation()
@@ -103,8 +112,9 @@ def per_step_rollout(env, params, value, n_steps, rng):
     for _ in range(n_steps):
         all_obs.append(obs)
         a, logp = sample_action(params, obs[None], rng)
-        result = env.step(int(a[0]))
-        actions.append(int(a[0]))
+        action = int(a[0]) if params.head == "categorical" else a[0]
+        result = env.step(action)
+        actions.append(action)
         rewards.append(result.reward)
         logps.append(float(logp[0]))
         obs = result.next_observation
@@ -231,6 +241,7 @@ class TestTrainConfig:
             ("eval_episodes", 0, "eval_episodes"),
             ("hidden", (8.0,), "hidden"),
             ("seed", -1, "seed"),
+            ("eval_every", -1, "eval_every"),
         ],
     )
     def test_validate_rejects(self, field, value, fragment):
@@ -341,6 +352,47 @@ class TestActors:
         assert 100 < len(forwards) < n
         assert actions == {0, 1}
 
+    def test_policy_rows_built_on_first_visit(self):
+        # the walk above under a 1000-state `TabularPolicy`, a quarter of its
+        # states with one action of probability zero: only visited states get
+        # a row, equal bit for bit to the eager 2-D build
+        n = 1000
+        rng_mdp = np.random.default_rng(94)
+        successors = rng_mdp.integers(0, n, size=(n, 2, 3))
+        probs = np.random.default_rng(97).dirichlet(np.ones(2), size=n)
+        probs[::4] = [[0.0, 1.0], [1.0, 0.0]] * (n // 8)
+        policy = TabularPolicy(probs)
+        eager = eager_policy_table(policy)
+        actor = TabularActor(policy)
+        assert len(actor) == 0
+        rng, rng_ref = np.random.default_rng(96), np.random.default_rng(96)
+        s, visited, actions = 0, set(), set()
+        for _ in range(600):
+            a, logp = actor.act(s, rng)
+            cum, logp_ref, greedy = eager[s]
+            a_ref = sample_index(cum, rng_ref.random())
+            assert (a, logp) == (a_ref, logp_ref[a_ref])
+            assert actor.greedy(s) == greedy
+            visited.add(s)
+            actions.add(a)
+            s = int(successors[s, a, rng_mdp.integers(3)])
+        assert set(actor) == visited
+        assert 100 < len(visited) < n
+        assert actions == {0, 1}
+        assert all(actor[s] == eager[s] for s in visited)
+
+    @pytest.mark.parametrize("name", ["twostate", "twoloop", "random8", "random8-zeros",
+                                      "random64"])
+    def test_policy_rows_match_eager_table(self, name):
+        _, policy = tabular_case(name)
+        eager = eager_policy_table(policy)
+        actor = TabularActor(policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in reversed(range(len(eager))):
+                actor.act(s, np.random.default_rng(s))
+        assert [actor[s] for s in range(len(eager))] == eager
+
     def test_greedy_reads_probabilities_not_log_probabilities(self):
         # two adjacent doubles whose logarithms round to the same double
         p = 0.0079
@@ -351,22 +403,13 @@ class TestActors:
         actor = TabularActor(TabularPolicy(np.tile(row, (2, 1))))
         assert [actor.greedy(s) for s in range(2)] == [1, 1]
 
-    def test_neural_actor_returns_consistent_log_prob(self):
-        params = init_mlp(np.random.default_rng(2), 2, 2, "categorical", (8,))
-        actor = NeuralActor(params)
-        obs = np.eye(2)[1]
-        a, logp = actor.act(obs, np.random.default_rng(3))
-        assert isinstance(a, int)
-        recomputed = policy_log_prob(params, obs[None], np.array([a]))[0]
-        np.testing.assert_allclose(logp, recomputed, rtol=1e-12)
-
 
 class TestCollectRollout:
     def test_deterministic_alternation(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         env.state = 0
         value = init_mlp(np.random.default_rng(4), 2, 1, "value", (8,))
-        batch = collect_rollout(env, TabularActor(switch_policy(1.0, 1.0)), value, 6,
+        batch = collect_rollout(env, switch_policy(1.0, 1.0), value, 6,
                                 np.random.default_rng(5))
         np.testing.assert_array_equal(states_from_obs(batch.obs), [0, 1, 0, 1, 0, 1])
         np.testing.assert_array_equal(batch.rewards, [0, 1, 0, 1, 0, 1])
@@ -375,7 +418,7 @@ class TestCollectRollout:
     def test_next_value_is_shifted_value(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(6), 2, 1, "value", (8,))
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, 40,
+        batch = collect_rollout(env, switch_policy(0.5, 0.5), value, 40,
                                 np.random.default_rng(7))
         np.testing.assert_array_equal(batch.next_value[:-1], batch.value[1:])
         np.testing.assert_array_equal(batch.next_value[-1:],
@@ -384,7 +427,7 @@ class TestCollectRollout:
     def test_values_match_direct_critic_pass(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(8), 2, 1, "value", (8,))
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, 16,
+        batch = collect_rollout(env, switch_policy(0.5, 0.5), value, 16,
                                 np.random.default_rng(9))
         full = np.concatenate([batch.obs, env.observation()[None]])
         recomputed = value_forward(value, full)
@@ -394,18 +437,18 @@ class TestCollectRollout:
     def test_no_reset_between_batches(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(10), 2, 1, "value", (8,))
-        actor = TabularActor(switch_policy(0.5, 0.5))
+        policy = switch_policy(0.5, 0.5)
         rng = np.random.default_rng(11)
-        collect_rollout(env, actor, value, 10, rng)
+        collect_rollout(env, policy, value, 10, rng)
         after_first = env.observation()
-        second = collect_rollout(env, actor, value, 10, rng)
+        second = collect_rollout(env, policy, value, 10, rng)
         np.testing.assert_array_equal(second.obs[0], after_first)
 
     def test_neural_log_probs_match_batched_recompute(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(12), 2, 2, "categorical", (8,))
         value = init_mlp(np.random.default_rng(13), 2, 1, "value", (8,))
-        batch = collect_rollout(env, NeuralActor(policy), value, 50,
+        batch = collect_rollout(env, policy, value, 50,
                                 np.random.default_rng(14))
         recomputed = policy_log_prob(policy, batch.obs, batch.actions)
         np.testing.assert_allclose(batch.old_log_prob, recomputed,
@@ -424,7 +467,7 @@ class TestCollectRollout:
         rng_ref, rng = np.random.default_rng(53), np.random.default_rng(53)
         obs, actions, rewards, logps, values = per_step_rollout(
             env_ref, policy, value, 300, rng_ref)
-        batch = collect_rollout(env, NeuralActor(policy), value, 300, rng)
+        batch = collect_rollout(env, policy, value, 300, rng)
         np.testing.assert_array_equal(batch.obs, obs[:-1])
         np.testing.assert_array_equal(env.observation(), obs[-1])
         np.testing.assert_array_equal(batch.actions, actions)
@@ -441,12 +484,11 @@ class TestCollectRollout:
         env = TabularEnv(two_loop, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(54), 4, 2, "categorical", (8,))
         value = init_mlp(np.random.default_rng(55), 4, 1, "value", (8,))
-        actor = NeuralActor(policy)
         rng = np.random.default_rng(56)
-        first = collect_rollout(env, actor, value, 60, rng)
+        first = collect_rollout(env, policy, value, 60, rng)
         assert np.any(first.actions == 0)
         policy.tensors["b1"][:] = [-40.0, 40.0]
-        second = collect_rollout(env, actor, value, 60, rng)
+        second = collect_rollout(env, policy, value, 60, rng)
         np.testing.assert_array_equal(second.actions, np.ones(60, dtype=np.int64))
         np.testing.assert_allclose(second.old_log_prob,
                                    policy_log_prob(policy, second.obs, second.actions),
@@ -459,7 +501,7 @@ class TestCollectRollout:
         policy = init_mlp(np.random.default_rng(57), 8, 7, "categorical", ())
         policy.tensors["w0"][:] = 0.0
         value = init_mlp(np.random.default_rng(58), 8, 1, "value", ())
-        batch = collect_rollout(TabularEnv(mdp, TopRng()), NeuralActor(policy), value, 5,
+        batch = collect_rollout(TabularEnv(mdp, TopRng()), policy, value, 5,
                                 TopRng())
         np.testing.assert_array_equal(batch.actions, np.full(5, 6))
         np.testing.assert_allclose(batch.old_log_prob, np.full(5, -math.log(7.0)), rtol=1e-15)
@@ -474,7 +516,7 @@ class TestCollectRollout:
         rng, rng_ref = np.random.default_rng(65), np.random.default_rng(65)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = collect_rollout(env, TabularActor(policy), value, 4000, rng)
+            batch = collect_rollout(env, policy, value, 4000, rng)
             ref, ref_last = array_row_rollout(mdp, policy, value, state, 4000, env_rng, rng_ref)
         for f in fields(RolloutBatch):
             got, want = getattr(batch, f.name), getattr(ref, f.name)
@@ -492,7 +534,7 @@ class TestCollectRollout:
         env = seeded_env("pendulum", 0)
         policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", (8,))
         value = init_mlp(np.random.default_rng(16), 3, 1, "value", (8,))
-        batch = collect_rollout(env, NeuralActor(policy), value, 30,
+        batch = collect_rollout(env, policy, value, 30,
                                 np.random.default_rng(17))
         assert batch.actions.shape == (30, 1)
         assert np.all(batch.rewards <= 0.0)
@@ -500,13 +542,32 @@ class TestCollectRollout:
         np.testing.assert_allclose(batch.old_log_prob, recomputed,
                                    rtol=1e-12, atol=1e-13)
 
+    def test_gaussian_rollout_matches_per_step_loop(self):
+        policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", (8,))
+        value = init_mlp(np.random.default_rng(16), 3, 1, "value", (8,))
+        env, env_ref = seeded_env("pendulum", 0), seeded_env("pendulum", 0)
+        rng, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
+        obs, actions, rewards, logps, values = per_step_rollout(
+            env_ref, policy, value, 300, rng_ref)
+        batch = collect_rollout(env, policy, value, 300, rng)
+        assert batch.actions.dtype == np.float64 and batch.actions.shape == (300, 1)
+        assert batch.obs.tobytes() == obs[:-1].tobytes()
+        assert batch.actions.tobytes() == actions.tobytes()
+        assert batch.rewards.tobytes() == rewards.tobytes()
+        assert batch.old_log_prob.tobytes() == logps.tobytes()
+        assert batch.value.tobytes() == values[:-1].tobytes()
+        assert batch.next_value.tobytes() == values[1:].tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert env.rng.bit_generator.state == env_ref.rng.bit_generator.state
+        assert (env.theta, env.theta_dot) == (env_ref.theta, env_ref.theta_dot)
+
     def test_long_run_reward_mean_matches_average_reward(self, two_state):
         # the uniform policy induces an iid chain, so the plain binomial
         # standard error is the honest yardstick
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(18), 2, 1, "value", (4,))
         n = 100_000
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, n,
+        batch = collect_rollout(env, switch_policy(0.5, 0.5), value, n,
                                 np.random.default_rng(19))
         assert abs(batch.rewards.mean() - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
@@ -540,11 +601,11 @@ class TestMovingAverages:
     def test_eta_hat_converges_on_two_state(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(20), 2, 1, "value", (4,))
-        actor = TabularActor(switch_policy(0.5, 0.5))
+        policy = switch_policy(0.5, 0.5)
         state = TrainerState(None, None, None, None)
         rng = np.random.default_rng(21)
         for _ in range(200):
-            batch = collect_rollout(env, actor, value, 128, rng)
+            batch = collect_rollout(env, policy, value, 128, rng)
             update_eta_hat(state, batch, 0.1)
         assert abs(state.eta_hat - 0.5) < 0.05
 
@@ -630,7 +691,7 @@ class TestLosses:
     def test_value_loss_halved_square_oracle(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         value = init_mlp(np.random.default_rng(24), 2, 1, "value", (8,))
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)), value, 32,
+        batch = collect_rollout(env, switch_policy(0.5, 0.5), value, 32,
                                 np.random.default_rng(25))
         loss, _ = value_loss(value, batch, 0.2, 1.0, 0.3, discount=0.95)
         preds = value_forward(value, batch.obs)
@@ -649,7 +710,7 @@ class TestLosses:
         env = TabularEnv(two_state, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(27), 2, 2, "categorical", (8,))
         value = init_mlp(np.random.default_rng(28), 2, 1, "value", (8,))
-        batch = collect_rollout(env, NeuralActor(policy), value, 64,
+        batch = collect_rollout(env, policy, value, 64,
                                 np.random.default_rng(29))
         compute_residuals_and_advantages(batch, 0.4, 0.9)
         loss, _ = policy_loss(policy, batch, 0.2)
@@ -660,7 +721,7 @@ class TestLosses:
         env = TabularEnv(two_state, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(30), 2, 2, "categorical", (8,))
         value = init_mlp(np.random.default_rng(31), 2, 1, "value", (8,))
-        batch = collect_rollout(env, NeuralActor(policy), value, 32,
+        batch = collect_rollout(env, policy, value, 32,
                                 np.random.default_rng(32))
         batch.advantage = np.zeros(32)
         _, grads = policy_loss(policy, batch, 0.2)
@@ -693,11 +754,34 @@ class TestLosses:
         total = float(np.abs(grads).sum())
         assert total > 1e-3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_ratio_on_clipped_branch_passes_zero_gradient(self):
+        # exp(800) overflows to inf; that sample sits on the clipped branch,
+        # whose gradient is 0, not 0 * inf
+        loss, grad = _clipped_surrogate(np.zeros(2), np.array([-800.0, 0.0]), np.ones(2), 0.2)
+        assert loss == pytest.approx(-1.1, rel=1e-15)
+        assert not np.isnan(grad).any()
+        np.testing.assert_array_equal(grad, [0.0, -0.5])
+
+    def test_surrogate_gradient_unchanged_where_ratio_is_finite(self):
+        # against the product with the ratio taken everywhere, on ratios in
+        # and out of the clip range and advantages of both signs and zero
+        rng = np.random.default_rng(98)
+        logp, old_logp = rng.normal(size=400), rng.normal(size=400)
+        adv = rng.normal(size=400) * rng.integers(0, 2, size=400)
+        ratio = np.exp(logp - old_logp)
+        unclipped, clipped = ratio * adv, np.clip(ratio, 0.8, 1.2) * adv
+        inside = (ratio >= 0.8) & (ratio <= 1.2)
+        g, take = -1.0 / 400, unclipped <= clipped
+        want = ((g * take) * adv + ((g * ~take) * adv) * inside) * ratio
+        got = _clipped_surrogate(logp, old_logp, adv, 0.2)[1]
+        assert got.tobytes() == want.tobytes()
+
     def test_minibatch_indices_select_rows(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(34), 2, 2, "categorical", (8,))
         value = init_mlp(np.random.default_rng(35), 2, 1, "value", (8,))
-        batch = collect_rollout(env, NeuralActor(policy), value, 16,
+        batch = collect_rollout(env, policy, value, 16,
                                 np.random.default_rng(36))
         compute_residuals_and_advantages(batch, 0.5, 0.9)
         idx = np.array([3, 7, 11])
@@ -708,7 +792,7 @@ class TestLosses:
         env = TabularEnv(two_state, np.random.default_rng(0))
         policy = init_mlp(np.random.default_rng(37), 2, 2, "categorical", (6, 4))
         value = init_mlp(np.random.default_rng(38), 2, 1, "value", (6, 4))
-        batch = collect_rollout(env, NeuralActor(policy), value, 24,
+        batch = collect_rollout(env, policy, value, 24,
                                 np.random.default_rng(39))
         compute_residuals_and_advantages(batch, 0.4, 0.9)
         err_v = finite_difference_max_rel_err(
@@ -744,7 +828,7 @@ class TestAlgoTerms:
         env = TabularEnv(two_state, np.random.default_rng(0))
         cfg = tiny_config()
         state = init_trainer(env, cfg, np.random.default_rng(40))
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)),
+        batch = collect_rollout(env, switch_policy(0.5, 0.5),
                                 state.value, 64, np.random.default_rng(41))
         state.value.tensors["w0"][0, 0] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
@@ -754,20 +838,19 @@ class TestAlgoTerms:
                 np.random.default_rng(42), "value loss", state)
         assert err.value.state is state
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_sgd_epochs_names_non_finite_gradient_before_any_update(self, two_state, monkeypatch):
         env = TabularEnv(two_state, np.random.default_rng(0))
         cfg = tiny_config()
         state = init_trainer(env, cfg, np.random.default_rng(43))
-        batch = collect_rollout(env, NeuralActor(state.policy), state.value, 64,
+        batch = collect_rollout(env, state.policy, state.value, 64,
                                 np.random.default_rng(44))
         compute_residuals_and_advantages(batch, 0.0, 0.9)
-        batch.advantage = np.abs(batch.advantage) + 0.1
-        batch.old_log_prob[:] = -800.0
-        # the ratio overflows and the clipped-out branch computes 0 * inf
-        loss, grads = policy_loss(state.policy, batch, cfg.clip_eps)
-        assert math.isfinite(loss) and np.isnan(grads).all()
+
+        def poisoned(idx):  # a finite loss with a NaN gradient
+            loss, grads = policy_loss(state.policy, batch, cfg.clip_eps, idx)
+            grads[:] = np.nan
+            return loss, grads
+
         state.iteration = 4
         # one Adam step first, so that the moments to keep are not zeros
         training.adam_step(state.policy, np.ones_like(state.policy.flat), state.policy_adam, 1e-3)
@@ -775,9 +858,8 @@ class TestAlgoTerms:
         clipped = []
         monkeypatch.setattr(training, "clip_global_norm", lambda g, m: clipped.append(g))
         with pytest.raises(NonFiniteLossError) as err:
-            _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
-                        state.policy, state.policy_adam, cfg, np.random.default_rng(45),
-                        "policy loss", state)
+            _sgd_epochs(poisoned, state.policy, state.policy_adam, cfg,
+                        np.random.default_rng(45), "policy loss", state)
         assert err.value.state is state
         assert "policy loss gradient for tensor 'w0'" in str(err.value)
         assert "iteration 4" in str(err.value)
@@ -791,7 +873,7 @@ class TestAlgoTerms:
         env = TabularEnv(two_state, np.random.default_rng(0))
         cfg = tiny_config()
         state = init_trainer(env, cfg, np.random.default_rng(46))
-        batch = collect_rollout(env, TabularActor(switch_policy(0.5, 0.5)),
+        batch = collect_rollout(env, switch_policy(0.5, 0.5),
                                 state.value, 64, np.random.default_rng(47))
 
         def poisoned(idx):
@@ -823,7 +905,7 @@ class TestPpoPathEquivalence:
         state = init_trainer(env, cfg, init_rng)
         env.reset()
         state.iteration = 1
-        batch = collect_rollout(env, NeuralActor(state.policy), state.value,
+        batch = collect_rollout(env, state.policy, state.value,
                                 cfg.rollout_len, sample_rng)
         compute_residuals_and_advantages(batch, 0.0, cfg.lam, cfg.gamma)
         _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
@@ -858,7 +940,7 @@ class TestTrainLoop:
         sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
         state = init_trainer(env, cfg, init_rng)
         env.reset()
-        batch = collect_rollout(env, NeuralActor(state.policy), state.value,
+        batch = collect_rollout(env, state.policy, state.value,
                                 cfg.rollout_len, sample_rng)
         assert log.rows[0].b == cfg.alpha * float(batch.value.mean())
         assert log.rows[0].eta_hat == cfg.alpha * float(batch.rewards.mean())
