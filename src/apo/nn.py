@@ -1,16 +1,21 @@
 """Minimal tanh MLP function approximation with closed-form gradients.
 
 Everything is float64 numpy.  A network is an `MlpParams`: one flat vector
-of parameters and named views into it; hidden layers use tanh.  Three heads: a scalar value head, a
-Gaussian policy head (state-dependent mean plus one learnable
-state-independent log-std vector), and a categorical logits head.
+of parameters, named views into it, and the same views as one ``(w, b)``
+pair per affine layer, built once, which the passes walk; hidden layers use
+tanh.  Three heads: a scalar value head, a Gaussian policy head
+(state-dependent mean plus one learnable state-independent log-std vector),
+and a categorical logits head.
 
 There is one forward pass.  `mlp_forward` can keep the input of every affine
 layer, and `backward` turns an upstream gradient of the network output into
 the gradient of every tensor in closed form.  The log-probabilities of both
-policy heads come from one function of the network output, which rollouts,
-losses and diagnostics share, so a log-probability recorded during rollout
-collection is the value the loss reproduces at the collection parameters.
+policy heads come from one function of the network output, `_log_prob`,
+which rollouts, losses and diagnostics share, so a log-probability recorded
+during rollout collection is the value the loss reproduces at the
+collection parameters.  Its arithmetic is row by row, so a Gaussian rollout
+takes it once over the stacked means of all its steps and gets the floats
+of one call per step.
 `value_vjp` and `policy_log_prob_vjp` pair a forward pass with the
 vector-Jacobian product that reuses its cached terms.
 
@@ -41,7 +46,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 class MlpParams:
     """One network's architecture and parameters: ``tensors`` are named views
     into ``flat``, which starts at zero, in the order ``w{i}``, ``b{i}`` per
-    affine layer, then the Gaussian head's ``log_std``."""
+    affine layer, then the Gaussian head's ``log_std``.  ``layers`` holds the
+    same ``(w{i}, b{i})`` views as one pair per affine layer, in order."""
 
     head: str  # "value" | "gaussian" | "categorical"
     in_dim: int
@@ -49,6 +55,7 @@ class MlpParams:
     hidden: tuple[int, ...]
     flat: np.ndarray = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         shapes = {f"{kind}{i}": shape for i, (m, n) in enumerate(self.layer_sizes)
@@ -60,6 +67,8 @@ class MlpParams:
                         for i, (name, shape) in enumerate(shapes.items())]
         self.flat = np.zeros(starts[-1])
         self.tensors = self.views(self.flat)
+        self.layers = [(self.tensors[f"w{i}"], self.tensors[f"b{i}"])
+                       for i in range(len(self.hidden) + 1)]
 
     def __deepcopy__(self, memo) -> "MlpParams":
         # a deep copy of the views would share no memory with the copied flat
@@ -103,14 +112,14 @@ def mlp_forward(params: MlpParams, x: np.ndarray, acts: list | None = None) -> n
     each tanh output) is appended to it for `backward`.
     """
     h = np.asarray(x, dtype=np.float64)
-    last = len(params.hidden)
-    for i in range(last):
+    *hidden, (w, b) = params.layers
+    for w_i, b_i in hidden:
         if acts is not None:
             acts.append(h)
-        h = np.tanh(h @ params.tensors[f"w{i}"] + params.tensors[f"b{i}"])
+        h = np.tanh(h @ w_i + b_i)
     if acts is not None:
         acts.append(h)
-    return h @ params.tensors[f"w{last}"] + params.tensors[f"b{last}"]
+    return h @ w + b
 
 
 def backward(
@@ -133,16 +142,16 @@ def backward(
             f"(batch, {params.out_dim}); got {len(acts)} and {g_out.shape}"
         )
     flat = np.empty_like(params.flat)
-    grads = params.views(flat)
+    grads = list(params.views(flat).values())  # w0, b0, w1, b1, ..., then log_std
     g = g_out
     for i in range(last, -1, -1):
         h = acts[i]
-        np.matmul(h.T, g, out=grads[f"w{i}"])
-        np.sum(g, axis=0, out=grads[f"b{i}"])
+        np.matmul(h.T, g, out=grads[2 * i])
+        np.sum(g, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = (g @ params.tensors[f"w{i}"].T) * (1.0 - np.square(h))
+            g = (g @ params.layers[i][0].T) * (1.0 - np.square(h))
     if params.head == "gaussian":
-        grads["log_std"][...] = 0.0 if log_std_grad is None else log_std_grad
+        grads[-1][...] = 0.0 if log_std_grad is None else log_std_grad
     return flat
 
 

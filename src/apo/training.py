@@ -22,6 +22,8 @@ policy step, and one evaluation, after the last iteration.
 `collect_rollout` and `evaluate` take the acting policy, a network or a
 `TabularPolicy`.  On a `TabularEnv` either acts through one per-state table,
 `TabularActor`, built per call and filled on each state's first visit.
+Elsewhere a Gaussian network draws a rollout's noise in one call and runs
+one forward per step.
 
 Randomness: a master seed spawns four child streams via
 ``np.random.SeedSequence(seed).spawn(4)`` in the order (environment,
@@ -44,6 +46,7 @@ from apo.mdp import TabularPolicy, sample_index
 from apo.nn import (
     AdamState,
     MlpParams,
+    _log_prob,
     adam_step,
     categorical_rows,
     clip_global_norm,
@@ -53,7 +56,6 @@ from apo.nn import (
     mlp_forward,
     policy_log_prob,
     policy_log_prob_vjp,
-    sample_action,
     value_forward,
     value_vjp,
 )
@@ -230,37 +232,54 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
     """Step the env ``n_steps`` times from its current state (no reset) with
     ``policy``, a network or a `TabularPolicy`, acting.
 
-    On a `TabularEnv` it acts on ``env.state`` through a `TabularActor`
-    built for this call, since its parameters are frozen while it runs;
-    elsewhere each step is one `sample_action` on the observation.  Values
-    for all visited states (including the state after the last step) come
-    from one batched critic pass at the current parameters, so
+    The policy's parameters are frozen while it runs.  On a `TabularEnv` it
+    acts on ``env.state`` through a `TabularActor` built for this call.  A
+    Gaussian network draws all its noise in one call and scales it once,
+    runs one (1, obs_dim) forward per step for the mean, and takes every
+    log-probability in one pass after the last step: the same draws and the
+    same floats as one `sample_action` per step.  Noise that is not finite
+    (a diverged log-std) raises `NonFiniteLossError` before the first step.
+    Values for all visited states (including the state after the last step)
+    come from one batched critic pass at the current parameters, so
     ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
     """
-    tabular = isinstance(env, TabularEnv)
-    if tabular:
-        act = TabularActor(policy).act
-    else:
-        def act(obs, rng):
-            actions, logp = sample_action(policy, obs[None], rng)
-            return actions[0], float(logp[0])
     obs = env.observation()
-    all_obs, actions, rewards, old_logp = [obs], [], [], []
-    for _ in range(n_steps):
-        action, logp = act(env.state if tabular else obs, rng)
-        result = env.step(action)
-        obs = result.next_observation
-        all_obs.append(obs)
-        actions.append(action)
-        rewards.append(result.reward)
-        old_logp.append(logp)
+    all_obs, actions, rewards = [obs], [], []
+    if isinstance(env, TabularEnv):
+        act, old_logp = TabularActor(policy).act, []
+        for _ in range(n_steps):
+            action, logp = act(env.state, rng)
+            result = env.step(action)
+            obs = result.next_observation
+            all_obs.append(obs)
+            actions.append(action)
+            rewards.append(result.reward)
+            old_logp.append(logp)
+        actions = np.array(actions, dtype=np.int64)
+        old_logp = np.array(old_logp, dtype=np.float64)
+    else:
+        log_std = policy.tensors["log_std"]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            noise = np.exp(log_std) * rng.standard_normal((n_steps, policy.out_dim))
+        if not np.isfinite(noise).all():
+            raise NonFiniteLossError(
+                f"Gaussian action noise is not finite (log_std={log_std.tolist()!r})", None)
+        means = np.empty_like(noise)
+        for mean, eps in zip(means, noise):
+            mean[...] = mlp_forward(policy, obs[None])[0]
+            result = env.step(mean + eps)
+            obs = result.next_observation
+            all_obs.append(obs)
+            rewards.append(result.reward)
+        actions = means + noise
+        old_logp = _log_prob(policy, means, actions)[0]
     all_obs = np.array(all_obs, dtype=np.float64)
     values = value_forward(value_params, all_obs)
     return RolloutBatch(
         obs=all_obs[:-1].copy(),
-        actions=np.array(actions, dtype=np.int64 if tabular else np.float64),
+        actions=actions,
         rewards=np.array(rewards, dtype=np.float64),
-        old_log_prob=np.array(old_logp, dtype=np.float64),
+        old_log_prob=old_logp,
         value=values[:-1].copy(),
         next_value=values[1:].copy(),
     )
@@ -532,7 +551,10 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
     env.reset()
     for k in range(1, config.iterations + 1):
         state.iteration = k
-        batch = collect_rollout(env, acting, state.value, config.rollout_len, sample_rng)
+        try:
+            batch = collect_rollout(env, acting, state.value, config.rollout_len, sample_rng)
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError(f"{exc} at iteration {k}", state) from None
         if track_averages:  # otherwise both stay 0.0
             update_eta_hat(state, batch, config.alpha)
             update_b(state, batch, config.alpha)

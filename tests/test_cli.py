@@ -270,6 +270,27 @@ class TestTrain:
         assert set(nets) == {"policy", "value"}
         assert not out.exists()
 
+    def test_diverged_gaussian_std_dumps_state(self, tmp_path, capsys):
+        # at this learning rate the log-std passes 700 in the first iteration
+        # while every logged loss stays finite, so exp(log_std) overflows
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"beta": 1000, "iterations": 3, "rollout_len": 256,
+                                    "minibatch": 64, "eval_every": 0}))
+        out = tmp_path / "p.csv"
+        code = run_cli(["train", "--env", "pendulum", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "non-finite-loss"
+        assert "noise is not finite" in payload["detail"]["message"]
+        assert "at iteration 2" in payload["detail"]["message"]
+        dump = out.with_suffix(".dump.npz")
+        assert payload["detail"]["state_dump"] == str(dump)
+        nets, adams = load_checkpoint(dump)
+        assert set(nets) == {"policy", "value"}
+        assert nets["policy"].tensors["log_std"][0] > 700.0
+        assert adams["policy"].t == 10 * 256 // 64
+        assert not out.exists()
+
     def test_non_finite_gradient_dumps_state(self, tmp_path, monkeypatch, capsys):
         # the policy loss stays finite while its gradient is NaN
         original = training.policy_loss

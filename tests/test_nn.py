@@ -173,6 +173,45 @@ class TestLayout:
         clone.tensors["w0"][0, 0] += 1.0
         assert clone.flat[0] == params.flat[0] + 1.0
 
+    @staticmethod
+    def _reference_forward(params, x):
+        """`mlp_forward` written over ``params.tensors`` by name."""
+        h = x
+        last = len(params.hidden)
+        for i in range(last):
+            h = np.tanh(h @ params.tensors[f"w{i}"] + params.tensors[f"b{i}"])
+        return h @ params.tensors[f"w{last}"] + params.tensors[f"b{last}"]
+
+    def _check_layers(self, params):
+        assert len(params.layers) == len(params.hidden) + 1
+        for i, (w, b) in enumerate(params.layers):
+            assert w.base is params.flat and b.base is params.flat
+            assert np.shares_memory(w, params.tensors[f"w{i}"])
+            assert np.shares_memory(b, params.tensors[f"b{i}"])
+        x = np.random.default_rng(92).normal(size=(5, params.in_dim))
+        for batch in (x[:1], x):
+            assert (mlp_forward(params, batch).tobytes()
+                    == self._reference_forward(params, batch).tobytes())
+
+    @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 3), ("gaussian", 2)])
+    def test_layers_alias_flat_after_adam_deepcopy_and_load(self, tmp_path, head, out_dim):
+        params = init_mlp(np.random.default_rng(93), 3, out_dim, head, (5, 4))
+        self._check_layers(params)
+        adam_step(params, np.random.default_rng(94).normal(size=params.flat.shape),
+                  init_adam_state(params), 1e-1)
+        self._check_layers(params)
+        clone = copy.deepcopy(params)
+        self._check_layers(clone)
+        clone.flat += 0.5
+        self._check_layers(clone)
+        one = np.ones((1, 3))
+        assert mlp_forward(clone, one).tobytes() != mlp_forward(params, one).tobytes()
+        save_checkpoint(tmp_path / "c.npz", {"net": params})
+        loaded = load_checkpoint(tmp_path / "c.npz")[0]["net"]
+        self._check_layers(loaded)
+        x = np.ones((2, 3))
+        assert mlp_forward(loaded, x).tobytes() == mlp_forward(params, x).tobytes()
+
     def test_adam_step_shows_through_the_views(self):
         params = init_mlp(np.random.default_rng(91), 3, 2, "gaussian", (5,))
         before = copy.deepcopy(params.tensors)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apo import training
+from apo import nn, training
 from apo.envs import TabularEnv, make_env, make_two_loop, make_two_state, switch_policy
 from apo.mdp import Mdp, TabularPolicy, random_ergodic_mdp, sample_index
 from apo.nn import (
@@ -542,15 +542,18 @@ class TestCollectRollout:
         np.testing.assert_allclose(batch.old_log_prob, recomputed,
                                    rtol=1e-12, atol=1e-13)
 
-    def test_gaussian_rollout_matches_per_step_loop(self):
-        policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", (8,))
-        value = init_mlp(np.random.default_rng(16), 3, 1, "value", (8,))
+    @pytest.mark.parametrize("hidden,n_steps", [((8,), 300), ((64, 64), 2048)],
+                             ids=["8-300", "64x64-2048"])
+    def test_gaussian_rollout_matches_per_step_loop(self, hidden, n_steps):
+        policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", hidden)
+        value = init_mlp(np.random.default_rng(16), 3, 1, "value", hidden)
         env, env_ref = seeded_env("pendulum", 0), seeded_env("pendulum", 0)
         rng, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
         obs, actions, rewards, logps, values = per_step_rollout(
-            env_ref, policy, value, 300, rng_ref)
-        batch = collect_rollout(env, policy, value, 300, rng)
-        assert batch.actions.dtype == np.float64 and batch.actions.shape == (300, 1)
+            env_ref, policy, value, n_steps, rng_ref)
+        batch = collect_rollout(env, policy, value, n_steps, rng)
+        assert batch.actions.dtype == np.float64 and batch.actions.shape == (n_steps, 1)
+        assert batch.old_log_prob.dtype == np.float64 and batch.old_log_prob.shape == (n_steps,)
         assert batch.obs.tobytes() == obs[:-1].tobytes()
         assert batch.actions.tobytes() == actions.tobytes()
         assert batch.rewards.tobytes() == rewards.tobytes()
@@ -560,6 +563,54 @@ class TestCollectRollout:
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert env.rng.bit_generator.state == env_ref.rng.bit_generator.state
         assert (env.theta, env.theta_dot) == (env_ref.theta, env_ref.theta_dot)
+
+    def test_gaussian_rollout_runs_one_policy_forward_per_step(self, monkeypatch):
+        policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", (8,))
+        value = init_mlp(np.random.default_rng(16), 3, 1, "value", (8,))
+        calls = {"forward": 0, "sample_action": 0, "log_prob": 0}
+
+        def counting(name, fn, only_policy=False):
+            def wrapped(params, *args, **kwargs):
+                if not only_policy or params is policy:
+                    calls[name] += 1
+                return fn(params, *args, **kwargs)
+            return wrapped
+
+        for module in (training, nn):  # every name that binds each function
+            monkeypatch.setattr(module, "mlp_forward",
+                                counting("forward", nn.mlp_forward, only_policy=True))
+            monkeypatch.setattr(module, "_log_prob",
+                                counting("log_prob", nn._log_prob, only_policy=True))
+            monkeypatch.setattr(module, "sample_action",
+                                counting("sample_action", nn.sample_action), raising=False)
+        batch = collect_rollout(seeded_env("pendulum", 0), policy, value, 50,
+                                np.random.default_rng(17))
+        assert batch.actions.shape == (50, 1)
+        assert calls == {"forward": 50, "sample_action": 0, "log_prob": 1}
+
+    def test_diverged_log_std_raises_before_the_first_step(self):
+        env = seeded_env("pendulum", 0)
+        policy = init_mlp(np.random.default_rng(15), 3, 1, "gaussian", (8,))
+        value = init_mlp(np.random.default_rng(16), 3, 1, "value", (8,))
+        policy.tensors["log_std"][:] = 1000.0
+        start = (env.theta, env.theta_dot)
+        with pytest.raises(NonFiniteLossError, match="noise is not finite") as err:
+            collect_rollout(env, policy, value, 20, np.random.default_rng(17))
+        assert err.value.state is None
+        assert (env.theta, env.theta_dot) == start
+
+    def test_diverged_log_std_in_training_carries_the_state(self, monkeypatch):
+        def diverged(env, config, init_rng):
+            state = init_trainer(env, config, init_rng)
+            state.policy.tensors["log_std"][:] = 1000.0
+            return state
+
+        monkeypatch.setattr(training, "init_trainer", diverged)
+        with pytest.raises(NonFiniteLossError, match="at iteration 1") as err:
+            train(seeded_env("pendulum", 3), tiny_config())
+        assert err.value.state is not None
+        assert err.value.state.iteration == 1
+        assert err.value.state.policy.tensors["log_std"][0] == 1000.0
 
     def test_long_run_reward_mean_matches_average_reward(self, two_state):
         # the uniform policy induces an iid chain, so the plain binomial
