@@ -25,8 +25,6 @@ from apo.mdp import (
 )
 from apo.analysis import (
     InducedChain,
-    PolicyAnalysis,
-    analyze_policy,
     average_policy_iteration,
     average_reward,
     discounted_return,

@@ -7,21 +7,22 @@ the fundamental matrix ``Z = (I - g*P + g*e d)^{-1}``, which stays
 nonsingular at ``g = 1``; the resolvent ``(I - g*P)^{-1}`` is only ever
 formed for ``g < 1``.
 
-`InducedChain` solves each quantity of one (MDP, policy) chain at most
-once, on first use, per discount where it has one.  The module-level
+`InducedChain` is the one analysis object: it solves each quantity of one
+(MDP, policy) chain at most once, on first use, per discount where it has
+one, and `analysis_residuals` checks them against each other.  Discounted
+quantities start from the MDP's own ``init_dist``.  The module-level
 functions are views that read one quantity from a fresh chain; callers that
-need several (`analyze_policy`, `apo.bounds`) read them all from one chain.
+need several (``apo analyze``, `apo.bounds`) read them all from one chain.
 
 Value functions follow the zero-mean convention: the discounted value of a
 state accumulates ``r - eta`` where ``eta`` is the average reward, so the
 stationary expectation of the value vector is exactly zero for every
 discount.  The raw Poisson solution differs from this by the constant shift
-``eta`` in every entry; `analyze_policy` reports that shift explicitly.
+``eta`` in every entry; ``apo analyze`` reports that shift explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,16 +55,13 @@ class InducedChain:
     """The Markov chain ``policy`` induces on ``mdp``: ``p`` and ``r`` (the
     induced transitions and per-state rewards) are built on construction,
     everything else is solved on first use and kept for the object's life.
-    ``d0`` (default: the MDP's own) is read only at discounts below one.
     """
 
-    def __init__(self, mdp: Mdp, policy: TabularPolicy, d0: np.ndarray | None = None):
+    def __init__(self, mdp: Mdp, policy: TabularPolicy):
         self.mdp = mdp
-        self.policy = policy
         self.p = induced_transition(mdp, policy)
         self.r = induced_reward(mdp, policy)
         self.n = mdp.n_states
-        self._d0 = d0
         self._z: dict[float, np.ndarray] = {}
         self._occupancy: dict[float, StateDistribution] = {}
         self._values: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -86,7 +84,7 @@ class InducedChain:
         except np.linalg.LinAlgError as exc:
             raise NotErgodicError(f"induced chain is not ergodic: {exc}") from exc
         residual = float(np.max(np.abs(d @ self.p - d)))
-        if residual > SOLVER_ATOL:
+        if not residual <= SOLVER_ATOL:
             raise NotErgodicError(f"induced chain is not ergodic: balance residual {residual:.3e}")
         return StateDistribution(d)
 
@@ -95,7 +93,8 @@ class InducedChain:
         return float(self.stationary.probs @ self.r)
 
     def occupancy(self, gamma: float) -> StateDistribution:
-        """Normalized discounted state occupancy ``(1-g) d0 (I - g P)^{-1}``.
+        """Normalized discounted state occupancy ``(1-g) d0 (I - g P)^{-1}``
+        from the MDP's start distribution ``d0``.
 
         At ``gamma = 0`` this is the start distribution; at ``gamma = 1`` it
         is the stationary distribution (the limit is taken analytically, not
@@ -105,11 +104,8 @@ class InducedChain:
         if g == 1.0:
             return self.stationary
         if g not in self._occupancy:
-            start = self.mdp.init_dist if self._d0 is None else np.asarray(self._d0, np.float64)
-            if start.shape != (self.n,):
-                raise ValueError(f"d0 has shape {start.shape}, expected {(self.n,)}")
             # d_g solves d_g (I - g P) = (1-g) d0, i.e. (I - g P)^T x = (1-g) d0.
-            d = np.linalg.solve(np.eye(self.n) - g * self.p.T, (1.0 - g) * start)
+            d = np.linalg.solve(np.eye(self.n) - g * self.p.T, (1.0 - g) * self.mdp.init_dist)
             self._occupancy[g] = StateDistribution(d)
         return self._occupancy[g]
 
@@ -134,7 +130,7 @@ class InducedChain:
                     f"fundamental matrix solve failed (condition estimate {cond:.3e})"
                 ) from exc
             residual = float(np.max(np.abs(a @ z - np.eye(n))))
-            if residual > SOLVER_ATOL:
+            if not residual <= SOLVER_ATOL:
                 cond = float(np.linalg.cond(a))
                 raise NumericalConditioningError(
                     f"fundamental matrix residual {residual:.3e} "
@@ -202,10 +198,10 @@ def stationary_distribution(mdp: Mdp, policy: TabularPolicy) -> StateDistributio
 
 
 def discounted_state_distribution(
-    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
+    mdp: Mdp, policy: TabularPolicy, gamma: float
 ) -> StateDistribution:
-    """Discounted occupancy from ``d0`` (see `InducedChain.occupancy`)."""
-    return InducedChain(mdp, policy, d0).occupancy(gamma)
+    """Discounted occupancy from the MDP's start (see `InducedChain.occupancy`)."""
+    return InducedChain(mdp, policy).occupancy(gamma)
 
 
 def average_reward(mdp: Mdp, policy: TabularPolicy) -> float:
@@ -213,15 +209,13 @@ def average_reward(mdp: Mdp, policy: TabularPolicy) -> float:
     return InducedChain(mdp, policy).average_reward
 
 
-def discounted_return(
-    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
-) -> float:
+def discounted_return(mdp: Mdp, policy: TabularPolicy, gamma: float) -> float:
     """Normalized discounted return ``(1-g) E[sum g^t r_t]``.
 
     Equals the occupancy-weighted one-step reward; reduces to the average
     reward at ``gamma = 1`` and to the initial expected reward at 0.
     """
-    return InducedChain(mdp, policy, d0).discounted_return(gamma)
+    return InducedChain(mdp, policy).discounted_return(gamma)
 
 
 def fundamental_matrix(mdp: Mdp, policy: TabularPolicy, gamma: float) -> np.ndarray:
@@ -275,62 +269,19 @@ def average_policy_iteration(mdp: Mdp) -> tuple[TabularPolicy, float]:
     raise RuntimeError(f"policy iteration did not settle within {cap} sweeps")
 
 
-@dataclass(frozen=True)
-class PolicyAnalysis:
-    """Everything exact about one (MDP, policy, discount) triple, and its chain."""
-
-    gamma: float
-    eta_avg: float
-    eta_disc: float
-    d_stat: StateDistribution
-    d_disc: StateDistribution
-    v: np.ndarray
-    q: np.ndarray
-    adv: np.ndarray
-    z: np.ndarray
-    m: np.ndarray
-    kemeny: float
-    chain: InducedChain = field(repr=False, compare=False)
-
-
-def analyze_policy(
-    mdp: Mdp, policy: TabularPolicy, gamma: float, d0: np.ndarray | None = None
-) -> PolicyAnalysis:
-    g = _check_gamma(gamma)
-    chain = InducedChain(mdp, policy, d0)
-    v, q, adv = chain.values(g)
-    return PolicyAnalysis(
-        gamma=g,
-        eta_avg=chain.average_reward,
-        eta_disc=chain.discounted_return(g),
-        d_stat=chain.stationary,
-        d_disc=chain.occupancy(g),
-        v=v,
-        q=q,
-        adv=adv,
-        z=chain.fundamental(g),
-        m=chain.passage,
-        kemeny=chain.kemeny,
-        chain=chain,
-    )
-
-
-def analysis_residuals(mdp: Mdp, policy: TabularPolicy, analysis: PolicyAnalysis) -> dict[str, float]:
-    """Self-consistency residuals for a `PolicyAnalysis`, for reports/tests.
+def analysis_residuals(chain: InducedChain, gamma: float) -> dict[str, float]:
+    """Self-consistency residuals of one chain at one discount, for reports
+    and tests.
 
     Includes the stationary balance residual, the three fundamental-matrix
     properties, the passage-time equations, the zero-mean property of the
-    values, and the Kemeny row spread.  ``mdp`` and ``policy`` must be the
-    objects the analysis was made for; its chain supplies ``P`` and ``Z_1``.
+    values, and the Kemeny row spread and trace gap.
     """
-    chain = analysis.chain
-    if chain.mdp is not mdp or chain.policy is not policy:
-        raise ValueError("analysis was made for a different MDP or policy")
+    g = _check_gamma(gamma)
     p, n = chain.p, chain.n
-    g = analysis.gamma
-    d = analysis.d_stat.probs
-    z = analysis.z
-    m = analysis.m
+    d = chain.stationary.probs
+    z = chain.fundamental(g)
+    m = chain.passage
     e = np.ones(n)
     ee = np.ones((n, n))
     dg = np.diag(1.0 / d)
@@ -343,7 +294,7 @@ def analysis_residuals(mdp: Mdp, policy: TabularPolicy, analysis: PolicyAnalysis
             np.max(np.abs(z @ (np.eye(n) - g * p) - (np.eye(n) - g * np.outer(e, d))))
         ),
         "passage_bellman": float(np.max(np.abs(m - (p @ (m - dg) + ee)))),
-        "value_zero_mean": float(abs(d @ analysis.v)),
+        "value_zero_mean": float(abs(d @ chain.values(g)[0])),
         "kemeny_row_spread": float(rows.max() - rows.min()),
-        "kemeny_trace_gap": float(abs(analysis.kemeny - np.trace(chain.fundamental(1.0)))),
+        "kemeny_trace_gap": float(abs(chain.kemeny - np.trace(chain.fundamental(1.0)))),
     }

@@ -9,9 +9,11 @@ variation, and ``xi_g`` a sensitivity factor that depends only on the
 discount and on Kemeny's constant of the *new* policy's chain.
 
 `check_performance_bound` evaluates all of this exactly and reports each
-inequality as data; nothing raises on a violation, so sweeps can collect
-every failure.  Each function reads all it needs from one `InducedChain` per
-policy, so each quantity is solved once per (MDP, policy, discount).
+inequality as data, with ``BOUND_SLACK`` of float headroom; nothing raises
+on a violation, so sweeps can collect every failure.  Each function reads
+all it needs from one `InducedChain` per policy, so each quantity is solved
+once per (MDP, policy, discount); discounted quantities start from the
+MDP's ``init_dist``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from apo.analysis import InducedChain, _check_gamma
 from apo.mdp import Mdp, StateDistribution, TabularPolicy, policy_distance
 
-# Exact inequalities are checked with this much slack for float noise.
+# Exact inequalities are checked with this much headroom for float noise.
 BOUND_SLACK = 1e-9
 XI_SINGULARITY_EPS = 1e-12
 
@@ -34,11 +36,7 @@ def _surrogate(old: InducedChain, new: InducedChain, g: float) -> float:
 
 
 def surrogate_objective(
-    mdp: Mdp,
-    pi_old: TabularPolicy,
-    pi_new: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
+    mdp: Mdp, pi_old: TabularPolicy, pi_new: TabularPolicy, gamma: float
 ) -> float:
     """First-order surrogate for the performance difference.
 
@@ -48,7 +46,7 @@ def surrogate_objective(
     advantages.
     """
     g = _check_gamma(gamma)
-    return _surrogate(InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0), g)
+    return _surrogate(InducedChain(mdp, pi_old), InducedChain(mdp, pi_new), g)
 
 
 def epsilon_gamma(
@@ -72,7 +70,7 @@ def xi_gamma(gamma: float, kemeny_new: float) -> float:
     """
     g = _check_gamma(gamma)
     k = float(kemeny_new)
-    if k < 1.0:
+    if not k >= 1.0:
         raise ValueError(f"Kemeny's constant is at least 1, got {k}")
     first = np.inf if g == 1.0 else g / (1.0 - g)
     den = 1.0 - (1.0 - g) * k
@@ -115,16 +113,11 @@ class BoundReport:
 
 
 def check_performance_bound(
-    mdp: Mdp,
-    pi_old: TabularPolicy,
-    pi_new: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
-    slack: float = BOUND_SLACK,
+    mdp: Mdp, pi_old: TabularPolicy, pi_new: TabularPolicy, gamma: float
 ) -> BoundReport:
     """Evaluate the performance difference, surrogate, and every bound.
 
-    Checks, each with ``slack`` of float headroom:
+    Checks, each with ``BOUND_SLACK`` of float headroom:
 
     * the difference formula: the new-occupancy expectation of the old
       advantages reproduces the actual performance difference;
@@ -133,7 +126,7 @@ def check_performance_bound(
     * the combined two-sided bound ``L -/+ 2 eps xi E_TV``.
     """
     g = _check_gamma(gamma)
-    old, new = InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0)
+    old, new = InducedChain(mdp, pi_old), InducedChain(mdp, pi_new)
     d_old, d_new = old.occupancy(g), new.occupancy(g)
     actual = new.discounted_return(g) - old.discounted_return(g)
 
@@ -162,19 +155,15 @@ def check_performance_bound(
         lower=lower,
         upper=upper,
         pdf_residual=pdf_residual,
-        holds_lower=bool(actual >= lower - slack),
-        holds_upper=bool(actual <= upper + slack),
-        holds_prop1=bool(abs(actual - surrogate) <= 2.0 * eps * d_tv + slack),
-        holds_prop2=bool(d_tv <= xi * exp_tv + slack),
+        holds_lower=bool(actual >= lower - BOUND_SLACK),
+        holds_upper=bool(actual <= upper + BOUND_SLACK),
+        holds_prop1=bool(abs(actual - surrogate) <= 2.0 * eps * d_tv + BOUND_SLACK),
+        holds_prop2=bool(d_tv <= xi * exp_tv + BOUND_SLACK),
     )
 
 
 def check_distribution_identity(
-    mdp: Mdp,
-    pi_old: TabularPolicy,
-    pi_new: TabularPolicy,
-    gamma: float,
-    d0: np.ndarray | None = None,
+    mdp: Mdp, pi_old: TabularPolicy, pi_new: TabularPolicy, gamma: float
 ) -> float:
     """Residual of the occupancy-difference identity.
 
@@ -183,7 +172,7 @@ def check_distribution_identity(
     average-case ``Z`` at one).  Returns the max-abs residual.
     """
     g = _check_gamma(gamma)
-    old, new = InducedChain(mdp, pi_old, d0), InducedChain(mdp, pi_new, d0)
+    old, new = InducedChain(mdp, pi_old), InducedChain(mdp, pi_new)
     d_old = old.occupancy(g).probs
     rhs = g * (d_old @ (new.p - old.p)) @ new.fundamental(g)
     return float(np.max(np.abs((new.occupancy(g).probs - d_old) - rhs)))

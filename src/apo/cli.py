@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from apo.analysis import analysis_residuals, analyze_policy
+from apo.analysis import InducedChain, analysis_residuals
 from apo.bounds import BoundReport, check_distribution_identity, check_performance_bound
 from apo.envs import TabularEnv, make_env
 from apo.mdp import (
     MAX_STATES,
+    Mdp,
     MdpFileError,
     NotErgodicError,
     TabularPolicy,
@@ -57,39 +58,43 @@ def _fail(kind: str, detail) -> int:
     return 1
 
 
+def _violations(mdp: Mdp) -> list[dict]:
+    """`validate_mdp`'s violations as JSON records; empty for a valid MDP."""
+    return [{"kind": v.kind, "where": list(v.where), "magnitude": v.magnitude}
+            for v in validate_mdp(mdp).violations]
+
+
+def analysis_report(chain: InducedChain, gamma: float) -> dict:
+    """The ``analyze`` report: every exact quantity of one chain at ``gamma``."""
+    v, q, adv = chain.values(gamma)
+    return {
+        "gamma": gamma,
+        "eta_avg": chain.average_reward,
+        "eta_disc": chain.discounted_return(gamma),
+        "d_stat": chain.stationary.probs.tolist(),
+        "d_disc": chain.occupancy(gamma).probs.tolist(),
+        "v": v.tolist(),
+        "q": q.tolist(),
+        "adv": adv.tolist(),
+        "z": chain.fundamental(gamma).tolist(),
+        "m": chain.passage.tolist(),
+        "kemeny": chain.kemeny,
+        # The raw Poisson solution sits this far above the zero-mean values
+        # (a constant shift of eta_avg in every entry).
+        "value_shift_from_raw_poisson": chain.average_reward,
+        "residuals": analysis_residuals(chain, gamma),
+    }
+
+
 def cmd_analyze(args) -> int:
     mdp = read_mdp(args.mdp)
-    check = validate_mdp(mdp)
-    if not check.ok:
-        return _fail(
-            "invalid-mdp",
-            [
-                {"kind": v.kind, "where": list(v.where), "magnitude": v.magnitude}
-                for v in check.violations
-            ],
-        )
+    if violations := _violations(mdp):
+        return _fail("invalid-mdp", violations)
     policy = read_policy(args.policy)
     ok, unreachable = is_ergodic(mdp, policy)
     if not ok:
         return _fail("not-ergodic", {"unreachable_pair": list(unreachable)})
-    analysis = analyze_policy(mdp, policy, args.gamma)
-    report = {
-        "gamma": analysis.gamma,
-        "eta_avg": analysis.eta_avg,
-        "eta_disc": analysis.eta_disc,
-        "d_stat": analysis.d_stat.probs.tolist(),
-        "d_disc": analysis.d_disc.probs.tolist(),
-        "v": analysis.v.tolist(),
-        "q": analysis.q.tolist(),
-        "adv": analysis.adv.tolist(),
-        "z": analysis.z.tolist(),
-        "m": analysis.m.tolist(),
-        "kemeny": analysis.kemeny,
-        # The raw Poisson solution sits this far above the zero-mean values
-        # (a constant shift of eta_avg in every entry).
-        "value_shift_from_raw_poisson": analysis.eta_avg,
-        "residuals": analysis_residuals(mdp, policy, analysis),
-    }
+    report = analysis_report(InducedChain(mdp, policy), args.gamma)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"analyze: wrote {args.out}")
     return 0
@@ -169,6 +174,8 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     env_stream = np.random.SeedSequence(config.seed).spawn(4)[ENV_STREAM]
     env = make_env(args.env, np.random.default_rng(env_stream))
+    if args.env.lower().startswith("file:") and (violations := _violations(env.mdp)):
+        return _fail("invalid-mdp", violations)
     out = Path(args.out)
     try:
         log = train(env, config)
@@ -190,6 +197,8 @@ def cmd_ablate_nu(args) -> int:
     env_probe = make_env(args.env, np.random.default_rng(0))
     if not isinstance(env_probe, TabularEnv):
         raise ValueError("ablate-nu needs a tabular environment")
+    if args.env.lower().startswith("file:") and (violations := _violations(env_probe.mdp)):
+        return _fail("invalid-mdp", violations)
     n_actions = env_probe.n_actions
     n_states = env_probe.obs_dim
     behavior = TabularPolicy(np.full((n_states, n_actions), 1.0 / n_actions))

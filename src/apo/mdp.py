@@ -106,7 +106,7 @@ class TabularPolicy:
         if p.ndim != 2:
             raise ValueError(f"policy probs must be 2-D (S, A), got shape {p.shape}")
         rows = p.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > PROB_ATOL:
+        if not np.max(np.abs(rows - 1.0)) <= PROB_ATOL:
             raise ValueError("policy rows must sum to 1")
         if p.min() < -PROB_ATOL:
             raise ValueError("policy probabilities must be nonnegative")
@@ -140,7 +140,7 @@ class StateDistribution:
             raise ValueError(f"state distribution has negative mass {p.min():.3e}")
         np.clip(p, 0.0, None, out=p)
         total = p.sum()
-        if abs(total - 1.0) > DIST_ATOL:
+        if not abs(total - 1.0) <= DIST_ATOL:
             raise ValueError(f"state distribution sums to {total!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -167,7 +167,8 @@ def validate_mdp(mdp: Mdp) -> ValidationResult:
 
     Returns all violations as data rather than raising, so callers can
     report every problem at once.  Kinds: ``row-sum``, ``prob-range``,
-    ``init-sum``, ``init-range``, ``reward-finite``.
+    ``init-sum``, ``init-range``, ``reward-finite``.  A NaN fails every
+    check that reads it.
     """
     violations: list[Violation] = []
     t, r, d0 = mdp.transition, mdp.reward, mdp.init_dist
@@ -175,18 +176,18 @@ def validate_mdp(mdp: Mdp) -> ValidationResult:
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
             err = abs(row_sums[s, a] - 1.0)
-            if err > PROB_ATOL:
+            if not err <= PROB_ATOL:
                 violations.append(Violation("row-sum", (s, a), float(err)))
             row = t[s, a]
-            if row.min() < -PROB_ATOL or row.max() > 1.0 + PROB_ATOL:
+            if not (row.min() >= -PROB_ATOL and row.max() <= 1.0 + PROB_ATOL):
                 excess = max(-float(row.min()), float(row.max()) - 1.0)
                 violations.append(Violation("prob-range", (s, a), excess))
             if not np.isfinite(r[s, a]):
                 violations.append(Violation("reward-finite", (s, a), float("inf")))
     err0 = abs(d0.sum() - 1.0)
-    if err0 > DIST_ATOL:
+    if not err0 <= DIST_ATOL:
         violations.append(Violation("init-sum", (), float(err0)))
-    if d0.min() < -PROB_ATOL or d0.max() > 1.0 + PROB_ATOL:
+    if not (d0.min() >= -PROB_ATOL and d0.max() <= 1.0 + PROB_ATOL):
         excess = max(-float(d0.min()), float(d0.max()) - 1.0)
         violations.append(Violation("init-range", (), excess))
     return ValidationResult(ok=not violations, violations=violations)

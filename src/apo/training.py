@@ -595,6 +595,7 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
             _check_finite(pl, "policy loss", state)
             _check_finite(vl, "value loss", state)
             approx_kl = float(np.mean(batch.old_log_prob - new_logp))
+            _check_finite(approx_kl, "approximate KL", state)
 
         eval_reward = float("nan")
         if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):

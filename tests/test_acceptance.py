@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from apo.analysis import analysis_residuals, analyze_policy
+from apo.analysis import InducedChain, analysis_residuals
 from apo.bounds import (
     check_distribution_identity,
     check_matrix_identities,
@@ -77,8 +77,7 @@ def sweep():
             data.reports.append(report)
             data.pdf_residuals.append(report.pdf_residual)
             data.occupancy_residuals.append(check_distribution_identity(mdp, pi_old, pi_new, gamma))
-            analysis = analyze_policy(mdp, pi_new, gamma)
-            data.residual_dicts.append(analysis_residuals(mdp, pi_new, analysis))
+            data.residual_dicts.append(analysis_residuals(InducedChain(mdp, pi_new), gamma))
             data.matrix_reports.append(check_matrix_identities(mdp, pi_new, gamma))
     data.elapsed = time.perf_counter() - t0
     return data
@@ -204,8 +203,8 @@ class TestAcceptance:
         worst_trace = sweep.worst_residual("kemeny_trace_gap")
         worst_closed = 0.0
         for p, q in ((0.1, 0.3), (0.25, 0.5), (0.5, 0.5), (0.8, 0.2), (1.0, 1.0)):
-            analysis = analyze_policy(two_state, switch_policy(p, q), 1.0)
-            worst_closed = max(worst_closed, abs(analysis.kemeny - (1.0 + 1.0 / (p + q))))
+            kemeny = InducedChain(two_state, switch_policy(p, q)).kemeny
+            worst_closed = max(worst_closed, abs(kemeny - (1.0 + 1.0 / (p + q))))
         ok = worst_spread <= 1e-9 and worst_trace <= 1e-9 and worst_closed <= 1e-10
         _report(
             4,

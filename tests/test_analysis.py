@@ -1,12 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from apo.analysis import (
+    InducedChain,
     NumericalConditioningError,
     analysis_residuals,
-    analyze_policy,
     average_policy_iteration,
     average_reward,
     discounted_return,
@@ -17,6 +18,7 @@ from apo.analysis import (
     stationary_distribution,
     value_functions,
 )
+from apo.cli import analysis_report
 from apo.envs import switch_policy
 from apo.mdp import (
     NotErgodicError,
@@ -87,12 +89,17 @@ class TestStationary:
         np.testing.assert_allclose(d, [0.0, 1.0], atol=1e-12)
 
 
+def start_at(mdp, d0):
+    return dataclasses.replace(mdp, init_dist=d0)
+
+
 class TestDiscountedOccupancy:
     def test_closed_form_from_state_zero(self, two_state, uniform_policy):
         # uniform policy gives the iid chain, so every step after the first is
         # an independent coin flip: d_g = [1 - g/2, g/2]
+        from_zero = start_at(two_state, [1.0, 0.0])
         for g in (0.3, 0.9, 0.99):
-            d = discounted_state_distribution(two_state, uniform_policy, g, d0=[1.0, 0.0])
+            d = discounted_state_distribution(from_zero, uniform_policy, g)
             np.testing.assert_allclose(d.probs, [1.0 - g / 2.0, g / 2.0], atol=1e-12)
 
     def test_matches_truncated_series(self):
@@ -104,14 +111,16 @@ class TestDiscountedOccupancy:
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_gamma_endpoints(self, two_state, uniform_policy):
-        d0 = discounted_state_distribution(two_state, uniform_policy, 0.0, d0=[1.0, 0.0])
+        from_zero = start_at(two_state, [1.0, 0.0])
+        d0 = discounted_state_distribution(from_zero, uniform_policy, 0.0)
         np.testing.assert_allclose(d0.probs, [1.0, 0.0], atol=1e-12)
-        d1 = discounted_state_distribution(two_state, uniform_policy, 1.0, d0=[1.0, 0.0])
+        d1 = discounted_state_distribution(from_zero, uniform_policy, 1.0)
         np.testing.assert_allclose(d1.probs, [0.5, 0.5], atol=1e-12)
 
-    def test_bad_d0_shape(self, two_state, uniform_policy):
-        with pytest.raises(ValueError):
-            discounted_state_distribution(two_state, uniform_policy, 0.9, d0=[1.0, 0.0, 0.0])
+    def test_bad_d0_shape(self, two_state):
+        # a misshaped start distribution never reaches a solve: the MDP refuses it
+        with pytest.raises(ValueError, match="init_dist"):
+            start_at(two_state, [1.0, 0.0, 0.0])
 
 
 class TestReturns:
@@ -145,7 +154,7 @@ class TestFundamentalMatrix:
     def test_defining_properties_random_sweep(self):
         for mdp, pi in random_cases(10, seed=5):
             for g in GAMMAS:
-                res = analysis_residuals(mdp, pi, analyze_policy(mdp, pi, g))
+                res = analysis_residuals(InducedChain(mdp, pi), g)
                 assert res["z_row_sums"] <= 1e-9
                 assert res["z_stationary"] <= 1e-9
                 assert res["z_resolvent"] <= 1e-9
@@ -214,7 +223,7 @@ class TestPassageTimes:
 
     def test_one_step_equations(self):
         for mdp, pi in random_cases(10, seed=13):
-            res = analysis_residuals(mdp, pi, analyze_policy(mdp, pi, 1.0))
+            res = analysis_residuals(InducedChain(mdp, pi), 1.0)
             assert res["passage_bellman"] <= 1e-9
 
     def test_needs_positive_stationary_mass(self, two_state):
@@ -234,7 +243,7 @@ class TestKemeny:
         for mdp, pi in random_cases(20, seed=3):
             k = kemeny_constant(mdp, pi)
             assert k >= 1.0 - 1e-12
-            res = analysis_residuals(mdp, pi, analyze_policy(mdp, pi, 1.0))
+            res = analysis_residuals(InducedChain(mdp, pi), 1.0)
             assert res["kemeny_row_spread"] <= 1e-9
             assert res["kemeny_trace_gap"] <= 1e-9
 
@@ -277,8 +286,7 @@ class TestPolicyIteration:
 class TestAnalyzeBundle:
     def test_residual_keys_and_magnitudes(self):
         mdp, pi = random_cases(1, seed=55)[0]
-        analysis = analyze_policy(mdp, pi, 0.9)
-        res = analysis_residuals(mdp, pi, analysis)
+        res = analysis_residuals(InducedChain(mdp, pi), 0.9)
         expected_keys = {
             "stationary_balance",
             "z_row_sums",
@@ -294,8 +302,9 @@ class TestAnalyzeBundle:
         assert all(val <= 1e-9 for val in res.values())
 
     def test_discount_recorded_and_consistent(self, two_state, uniform_policy):
-        analysis = analyze_policy(two_state, uniform_policy, 0.9)
-        assert analysis.gamma == 0.9
-        assert analysis.eta_avg == pytest.approx(0.5, abs=1e-12)
-        assert analysis.kemeny == pytest.approx(2.0, abs=1e-10)
-        np.testing.assert_allclose(analysis.adv, analysis.q - analysis.v[:, None], atol=0)
+        report = analysis_report(InducedChain(two_state, uniform_policy), 0.9)
+        assert report["gamma"] == 0.9
+        assert report["eta_avg"] == pytest.approx(0.5, abs=1e-12)
+        assert report["kemeny"] == pytest.approx(2.0, abs=1e-10)
+        v, q, adv = (np.array(report[k]) for k in ("v", "q", "adv"))
+        np.testing.assert_allclose(adv, q - v[:, None], atol=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,10 @@ class TestXi:
         with pytest.raises(ValueError):
             xi_gamma(0.5, 0.9)
 
+    def test_nan_kemeny_rejected(self):
+        with pytest.raises(ValueError):
+            xi_gamma(0.9, float("nan"))
+
     @given(
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
         st.floats(min_value=1.0, max_value=50.0, allow_nan=False),
@@ -213,7 +219,7 @@ class TestPerformanceBound:
         mdp, p_old, p_new = random_triples(1, seed=91)[0]
         d0 = np.zeros(mdp.n_states)
         d0[0] = 1.0
-        r = check_performance_bound(mdp, p_old, p_new, 0.9, d0=d0)
+        r = check_performance_bound(dataclasses.replace(mdp, init_dist=d0), p_old, p_new, 0.9)
         assert r.pdf_residual <= 1e-9
         assert r.holds_lower and r.holds_upper and r.holds_prop1 and r.holds_prop2
 

@@ -8,8 +8,7 @@ import pytest
 import apo.mdp
 from apo.analysis import (
     InducedChain,
-    analysis_residuals,
-    analyze_policy,
+    NumericalConditioningError,
     average_reward,
     discounted_return,
     discounted_state_distribution,
@@ -26,7 +25,8 @@ from apo.bounds import (
     surrogate_objective,
     xi_gamma,
 )
-from apo.mdp import NotErgodicError, TabularPolicy, random_ergodic_mdp, random_policy
+from apo.cli import analysis_report
+from apo.mdp import Mdp, NotErgodicError, TabularPolicy, random_ergodic_mdp, random_policy
 
 VIEW_GAMMAS = (0.0, 0.5, 0.9, 1.0)
 
@@ -70,6 +70,7 @@ def counts(monkeypatch):
 LIMITS = {
     "check_performance_bound": (4, 6, 2),
     "check_distribution_identity": (3, 4, 2),
+    # `apo analyze`: one policy's full report, read from one chain
     "analyze_policy": (4, 4, 1),
 }
 
@@ -84,7 +85,7 @@ class TestSolveCounts:
             "check_distribution_identity": lambda: check_distribution_identity(
                 mdp, pi_old, pi_new, gamma
             ),
-            "analyze_policy": lambda: analyze_policy(mdp, pi_old, gamma),
+            "analyze_policy": lambda: analysis_report(InducedChain(mdp, pi_old), gamma),
         }
         solves_one, solves_below, builds = LIMITS[name]
         calls[name]()
@@ -118,29 +119,23 @@ class TestViews:
                     discounted_return(mdp, pi_new, g) - discounted_return(mdp, pi_old, g)
                 )
 
-    def test_analysis_fields_equal_their_views(self):
+    def test_analyze_report_equals_its_views(self):
         for mdp, pi, _ in random_triples(10, seed=12):
             for g in VIEW_GAMMAS:
-                a = analyze_policy(mdp, pi, g)
+                report = analysis_report(InducedChain(mdp, pi), g)
                 v, q, adv = value_functions(mdp, pi, g)
-                assert a.eta_avg == average_reward(mdp, pi)
-                assert a.eta_disc == discounted_return(mdp, pi, g)
-                assert np.array_equal(a.d_stat.probs, stationary_distribution(mdp, pi).probs)
-                assert np.array_equal(
-                    a.d_disc.probs, discounted_state_distribution(mdp, pi, g).probs
-                )
-                assert np.array_equal(a.v, v)
-                assert np.array_equal(a.q, q)
-                assert np.array_equal(a.adv, adv)
-                assert np.array_equal(a.z, fundamental_matrix(mdp, pi, g))
-                assert np.array_equal(a.m, mean_first_passage(mdp, pi))
-                assert a.kemeny == kemeny_constant(mdp, pi)
-
-    def test_residuals_need_the_analysed_pair(self):
-        mdp, pi, other = random_triples(1, seed=13)[0]
-        analysis = analyze_policy(mdp, pi, 0.9)
-        with pytest.raises(ValueError):
-            analysis_residuals(mdp, other, analysis)
+                assert report["gamma"] == g
+                assert report["eta_avg"] == average_reward(mdp, pi)
+                assert report["value_shift_from_raw_poisson"] == report["eta_avg"]
+                assert report["eta_disc"] == discounted_return(mdp, pi, g)
+                assert report["d_stat"] == stationary_distribution(mdp, pi).probs.tolist()
+                assert report["d_disc"] == discounted_state_distribution(mdp, pi, g).probs.tolist()
+                assert report["v"] == v.tolist()
+                assert report["q"] == q.tolist()
+                assert report["adv"] == adv.tolist()
+                assert report["z"] == fundamental_matrix(mdp, pi, g).tolist()
+                assert report["m"] == mean_first_passage(mdp, pi).tolist()
+                assert report["kemeny"] == kemeny_constant(mdp, pi)
 
 
 class TestGuardsThroughCore:
@@ -160,11 +155,21 @@ class TestGuardsThroughCore:
         with pytest.raises(NotErgodicError):
             kemeny_constant(two_state, stay)
 
-    def test_misshaped_d0(self, two_state, uniform_policy):
-        new = TabularPolicy(np.array([[0.2, 0.8], [0.7, 0.3]]))
-        bad = np.array([1.0, 0.0, 0.0])
-        for g in (0.0, 0.5, 0.9):
-            with pytest.raises(ValueError):
-                check_performance_bound(two_state, uniform_policy, new, g, d0=bad)
-        # the start distribution is never read at discount one
-        check_performance_bound(two_state, uniform_policy, new, 1.0, d0=bad)
+    @pytest.fixture
+    def nan_mdp(self, two_state):
+        # `Mdp` checks shapes only; a NaN row is `validate_mdp`'s to report
+        t = two_state.transition.copy()
+        t[0, 1] = [np.nan, 1.0]
+        return Mdp(transition=t, reward=two_state.reward, init_dist=two_state.init_dist)
+
+    def test_nan_balance_residual_raises(self, nan_mdp, uniform_policy):
+        with pytest.raises(NotErgodicError, match="nan"):
+            InducedChain(nan_mdp, uniform_policy).stationary
+
+    def test_nan_fundamental_residual_raises(self, two_state, uniform_policy, monkeypatch):
+        chain = InducedChain(two_state, uniform_policy)
+        chain.stationary  # solved before the solver breaks
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(solve(a, b), np.nan))
+        with pytest.raises(NumericalConditioningError, match="nan"):
+            chain.fundamental(0.9)

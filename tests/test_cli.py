@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import dataclasses
+import importlib
 import inspect
 import json
 import sys
@@ -14,6 +15,7 @@ from apo.mdp import Mdp, random_policy, write_mdp, write_policy
 from apo.nn import load_checkpoint
 from apo.training import NonFiniteLossError, TrainConfig, init_trainer
 from apo.envs import TabularEnv
+from perfbench.tracer import TARGETS
 
 
 @pytest.fixture
@@ -32,6 +34,29 @@ def run_cli(argv):
 def stderr_payload(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])
+
+
+def write_mdp_json(path, transition):
+    """A 2-state, 2-action MDP file with the given transition rows, as given."""
+    path.write_text(json.dumps({"n_states": 2, "n_actions": 2, "transition": transition,
+                                "reward": [[0, 1], [1, 0]], "init_dist": [0.5, 0.5]}))
+    return path
+
+
+# row (0, 0) sums to 0.5
+HALF_ROW = [[[0.25, 0.25], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+
+
+def analyze_violations(mdp_path, tmp_path, capsys):
+    """The `invalid-mdp` detail `analyze` reports for an MDP file."""
+    policy_path = tmp_path / "uniform.json"
+    write_policy(switch_policy(0.5, 0.5), policy_path)
+    code = run_cli(["analyze", "--mdp", str(mdp_path), "--policy", str(policy_path),
+                    "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "invalid-mdp"
+    return payload["detail"]
 
 
 class TestAnalyze:
@@ -80,6 +105,15 @@ class TestAnalyze:
         payload = stderr_payload(capsys)
         assert payload["error"] == "invalid-mdp"
         assert any(v["kind"] == "row-sum" for v in payload["detail"])
+
+    def test_nan_transition_is_an_invalid_mdp(self, tmp_path, capsys):
+        # json reads NaN; every comparison with it used to come out False
+        mdp_path = write_mdp_json(tmp_path / "nan.json",
+                                  [[[0.5, 0.5], [float("nan"), 1.0]], [[0.5, 0.5], [0.5, 0.5]]])
+        detail = analyze_violations(mdp_path, tmp_path, capsys)
+        assert {(v["kind"], tuple(v["where"])) for v in detail} == {
+            ("row-sum", (0, 1)), ("prob-range", (0, 1))}
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_ergodic_policy_fails(self, tmp_path, capsys):
         mdp_path = tmp_path / "mdp.json"
@@ -140,8 +174,8 @@ class TestVerify:
     def test_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         real = cli.check_performance_bound
 
-        def broken(mdp, pi_old, pi_new, gamma, d0=None, slack=1e-9):
-            report = real(mdp, pi_old, pi_new, gamma, d0=d0, slack=slack)
+        def broken(mdp, pi_old, pi_new, gamma):
+            report = real(mdp, pi_old, pi_new, gamma)
             return dataclasses.replace(report, holds_upper=False)
 
         monkeypatch.setattr(cli, "check_performance_bound", broken)
@@ -201,6 +235,44 @@ class TestTrain:
                         str(cfg), "--seed", "1", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_invalid_file_mdp_fails_before_training(self, tmp_path, capsys):
+        mdp_path = write_mdp_json(tmp_path / "half.json", HALF_ROW)
+        expected = analyze_violations(mdp_path, tmp_path, capsys)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"iterations": 2, "rollout_len": 64, "minibatch": 32,
+                                   "eval_every": 0}))
+        out = tmp_path / "run.csv"
+        code = run_cli(["train", "--env", f"file:{mdp_path}", "--config", str(cfg),
+                        "--out", str(out)])
+        assert code == 1
+        assert stderr_payload(capsys) == {"error": "invalid-mdp", "detail": expected}
+        assert not out.exists()
+        assert not out.with_suffix(".ckpt.npz").exists()
+        assert not out.with_suffix(".dump.npz").exists()
+
+    def test_infinite_approx_kl_dumps_state(self, tmp_path, capsys):
+        # the new log-probabilities overflow to -inf while the clipped policy
+        # loss stays finite, so only the approximate KL shows the divergence
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "iterations": 3, "rollout_len": 29, "minibatch": 29, "epochs": 2,
+            "beta": 222.327, "lam": 0.3238, "nu": 406.2, "alpha": 0.54, "clip_eps": 0.0716,
+            "grad_clip": 0.00359, "gamma": 0.5635, "hidden": [2, 2], "eval_every": 2,
+            "eval_horizon": 15, "eval_episodes": 2}))
+        out = tmp_path / "p.csv"
+        with np.errstate(over="ignore"):
+            code = run_cli(["train", "--env", "pendulum", "--algo", "apo", "--config", str(path),
+                            "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "non-finite-loss"
+        assert payload["detail"]["message"].startswith("approximate KL became inf at iteration 1")
+        dump = out.with_suffix(".dump.npz")
+        assert payload["detail"]["state_dump"] == str(dump)
+        nets, _ = load_checkpoint(dump)
+        assert set(nets) == {"policy", "value"}
+        assert not out.exists()
 
     def test_algo_and_gamma_overrides_reach_the_log(self, tmp_path):
         cfg = self.write_config(tmp_path, eval_every=0)
@@ -392,6 +464,19 @@ class TestAblateNu:
         assert "iteration 3" in payload["detail"]["message"]
         assert not out.exists()
 
+    def test_invalid_file_mdp_fails_before_any_run(self, tmp_path, capsys):
+        mdp_path = write_mdp_json(tmp_path / "half.json", HALF_ROW)
+        expected = analyze_violations(mdp_path, tmp_path, capsys)
+        out = tmp_path / "ablate.csv"
+        code = run_cli(["ablate-nu", "--env", f"file:{mdp_path}", "--nus", "0", "--seeds", "0",
+                        "--iterations", "2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ablate-nu: nu=" not in captured.out
+        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+            "error": "invalid-mdp", "detail": expected}
+        assert not out.exists()
+
     def test_rejects_continuous_env(self, tmp_path, capsys):
         code = run_cli(["ablate-nu", "--env", "pendulum",
                         "--out", str(tmp_path / "a.csv")])
@@ -415,3 +500,25 @@ class TestParser:
     def test_random_policy_helper_used_by_verify_is_stochastic(self):
         pi = random_policy(np.random.default_rng(0), 4, 3)
         np.testing.assert_allclose(pi.probs.sum(axis=1), np.ones(4), atol=1e-12)
+
+
+class TestBenchmarkBindings:
+    """The benchmark reaches into `apo` by name; a deletion here must not
+    silently break it."""
+
+    @pytest.mark.parametrize("span,module,path", TARGETS, ids=[t[0] + ":" + t[2] for t in TARGETS])
+    def test_tracer_target_resolves(self, span, module, path):
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner)
+
+    def test_workload_entry_points(self):
+        for name in ("check_performance_bound", "check_distribution_identity"):
+            inspect.signature(getattr(cli, name)).bind("mdp", "pi_old", "pi_new", 0.9)
+        for name in ("random_ergodic_mdp", "random_policy", "train", "value_drift_experiment",
+                     "main"):
+            assert callable(getattr(cli, name))
+        assert callable(training.collect_rollout)
+        params = inspect.signature(cli.value_drift_experiment).parameters
+        assert isinstance(params["rollout_len"].default, int)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,10 +147,10 @@ class TestTwoLoop:
         # (1-g) g^3 / (1 - g^4)
         long_pi = deterministic_policy([TWO_LOOP_LONG, 0, 0, 0], 2)
         short_pi = deterministic_policy([TWO_LOOP_SHORT, 0, 0, 0], 2)
-        d0 = np.array([1.0, 0.0, 0.0, 0.0])
+        from_fork = dataclasses.replace(two_loop, init_dist=[1.0, 0.0, 0.0, 0.0])
         for g, long_should_win in ((0.9, False), (0.99, True)):
-            long_val = discounted_return(two_loop, long_pi, g, d0=d0)
-            short_val = discounted_return(two_loop, short_pi, g, d0=d0)
+            long_val = discounted_return(from_fork, long_pi, g)
+            short_val = discounted_return(from_fork, short_pi, g)
             assert short_val == pytest.approx(0.22, abs=1e-12)
             assert long_val == pytest.approx((1 - g) * g**3 / (1 - g**4), abs=1e-12)
             assert (long_val > short_val) == long_should_win

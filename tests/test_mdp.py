@@ -43,6 +43,10 @@ class TestContainers:
         with pytest.raises(ValueError):
             TabularPolicy(np.array([[0.6, 0.6], [0.5, 0.5]]))
 
+    def test_policy_rejects_nan(self):
+        with pytest.raises(ValueError):
+            TabularPolicy(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     def test_state_distribution_clamps_tiny_negatives(self):
         d = StateDistribution(np.array([1.0 + 1e-13, -1e-13]))
         assert d.probs[1] == 0.0
@@ -50,6 +54,10 @@ class TestContainers:
     def test_state_distribution_rejects_real_negatives(self):
         with pytest.raises(ValueError):
             StateDistribution(np.array([1.1, -0.1]))
+
+    def test_state_distribution_rejects_nan(self):
+        with pytest.raises(ValueError):
+            StateDistribution(np.array([np.nan, 2.0]))
 
 
 class TestValidation:
@@ -84,6 +92,24 @@ class TestValidation:
         )
         kinds = {v.kind for v in validate_mdp(bad).violations}
         assert "init-sum" in kinds
+
+    @pytest.mark.parametrize("kind", ["row-sum", "prob-range"])
+    def test_nan_transition_fails_each_row_check(self, two_state, kind):
+        t = two_state.transition.copy()
+        t[0, 1] = [np.nan, 1.0]
+        bad = Mdp(transition=t, reward=two_state.reward, init_dist=two_state.init_dist)
+        result = validate_mdp(bad)
+        assert not result.ok
+        assert [v.where for v in result.violations if v.kind == kind] == [(0, 1)]
+
+    @pytest.mark.parametrize("kind", ["init-sum", "init-range"])
+    def test_nan_init_dist_fails_each_check(self, two_state, kind):
+        bad = Mdp(
+            transition=two_state.transition,
+            reward=two_state.reward,
+            init_dist=np.array([np.nan, 1.0]),
+        )
+        assert kind in {v.kind for v in validate_mdp(bad).violations}
 
     def test_non_finite_reward_flagged(self, two_state):
         r = two_state.reward.copy()
