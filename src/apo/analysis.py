@@ -166,8 +166,8 @@ class InducedChain:
         d = self.stationary.probs
         if d.min() <= 0.0:
             raise NotErgodicError("mean first passage needs strictly positive stationary mass")
-        n = self.n
-        return (np.eye(n) - z + np.ones((n, n)) @ np.diag(np.diag(z))) @ np.diag(1.0 / d)
+        # E Z_dg adds Z's diagonal to every row, and D scales column s' by 1 / d(s')
+        return (np.eye(self.n) - z + np.diag(z)[None, :]) * (1.0 / d)
 
     @cached_property
     def kemeny(self) -> float:

@@ -6,8 +6,9 @@ checks every bound, and writes a CSV; ``train`` runs the average-reward
 algorithm or the discounted baseline on a named environment; ``ablate-nu``
 runs the value-drift experiment over a grid of constraint coefficients.
 
-Exit codes: 0 on success, 1 on input validation failures and on a
-non-finite loss, 2 when ``verify`` finds a bound violation.
+Exit codes: 0 on success, 1 on input validation failures, on an
+ill-conditioned chain and on a non-finite loss, 2 when ``verify`` finds a
+bound violation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from apo.analysis import InducedChain, analysis_residuals
+from apo.analysis import InducedChain, NumericalConditioningError, analysis_residuals
 from apo.bounds import BoundReport, check_distribution_identity, check_performance_bound
 from apo.envs import TabularEnv, make_env
 from apo.mdp import (
@@ -40,8 +42,8 @@ from apo.nn import save_checkpoint
 from apo.training import (
     ENV_STREAM,
     NonFiniteLossError,
+    Run,
     TrainConfig,
-    TrainerState,
     train,
     value_drift_experiment,
 )
@@ -59,8 +61,10 @@ def _fail(kind: str, detail) -> int:
 
 
 def _violations(mdp: Mdp) -> list[dict]:
-    """`validate_mdp`'s violations as JSON records; empty for a valid MDP."""
-    return [{"kind": v.kind, "where": list(v.where), "magnitude": v.magnitude}
+    """`validate_mdp`'s violations as JSON records, a non-finite magnitude
+    as null; empty for a valid MDP."""
+    return [{"kind": v.kind, "where": list(v.where),
+             "magnitude": v.magnitude if math.isfinite(v.magnitude) else None}
             for v in validate_mdp(mdp).violations]
 
 
@@ -162,7 +166,7 @@ def _load_config(args) -> TrainConfig:
     return config
 
 
-def _save_state(path: Path, state: TrainerState) -> None:
+def _save_state(path: Path, state: Run) -> None:
     save_checkpoint(
         path,
         {"policy": state.policy, "value": state.value},
@@ -209,7 +213,7 @@ def cmd_ablate_nu(args) -> int:
     rows = []
     for nu, seed in grid:
         env_stream = np.random.SeedSequence(seed).spawn(4)[ENV_STREAM]
-        env = make_env(args.env, np.random.default_rng(env_stream))
+        env = env_probe.spawn(np.random.default_rng(env_stream))
         result = value_drift_experiment(env, behavior, nu, iterations=args.iterations, seed=seed)
         tail = max(1, args.iterations // 4)
         rows.append(
@@ -274,6 +278,8 @@ def main(argv=None) -> int:
         return _fail("file-error", str(exc))
     except NotErgodicError as exc:
         return _fail("not-ergodic", str(exc))
+    except NumericalConditioningError as exc:
+        return _fail("ill-conditioned", str(exc))
     except ValueError as exc:
         return _fail("invalid-input", str(exc))
     except NonFiniteLossError as exc:

@@ -15,9 +15,12 @@ The baseline path is the same loop with discounted targets
 ``r + g V(s')``, residual decay ``g * lam``, and no running estimates.
 Both paths share one parameterized code path, so substituting discounted
 targets and ``nu = 0`` into the average-reward path *is* the baseline.
-The value-drift experiment (the ``nu`` ablation) runs through `train`'s
-own loop with a fixed behavior policy in place of the policy network: no
-policy step, and one evaluation, after the last iteration.
+A run is one `Run`, built by `start_run` and advanced by `step`, which
+does one iteration and returns its `LogRow`; `train` steps it
+``iterations`` times.  The value-drift experiment (the ``nu`` ablation)
+runs through the same loop with a fixed behavior policy in place of the
+policy network: no policy step, and one evaluation, after the last
+iteration.
 
 `collect_rollout` and `evaluate` take the acting policy, a network or a
 `TabularPolicy`.  On a `TabularEnv` either acts through one per-state table,
@@ -64,9 +67,9 @@ ENV_STREAM, INIT_STREAM, SAMPLE_STREAM, EVAL_STREAM = range(4)
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training diverged; carries the trainer state at the point of failure."""
+    """Training diverged; carries the `Run` at the point of failure."""
 
-    def __init__(self, message: str, state: "TrainerState"):
+    def __init__(self, message: str, state: "Run | None"):
         super().__init__(message)
         self.state = state
 
@@ -155,14 +158,21 @@ class TrainConfig:
 
 
 @dataclass
-class TrainerState:
-    """What training changes; ``policy`` and ``policy_adam`` are None when a
-    fixed behavior policy acts (the value-drift experiment), as no policy
-    network is built or trained."""
+class Run:
+    """Everything that decides the rest of a run, advanced one iteration at
+    a time by `step`.  ``acting`` is the policy network, or a fixed behavior
+    `TabularPolicy` (the value-drift experiment); in that case ``policy`` and
+    ``policy_adam`` are None, as no policy network is built or trained."""
 
+    config: TrainConfig
+    env: object
+    eval_env: object
+    sample_rng: np.random.Generator
+    eval_rng: np.random.Generator
+    acting: MlpParams | TabularPolicy
     policy: MlpParams | None
-    value: MlpParams
     policy_adam: AdamState | None
+    value: MlpParams
     value_adam: AdamState
     eta_hat: float = 0.0
     b: float = 0.0
@@ -285,16 +295,6 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
     )
 
 
-def update_eta_hat(state: TrainerState, batch: RolloutBatch, alpha: float) -> TrainerState:
-    state.eta_hat = (1.0 - alpha) * state.eta_hat + alpha * float(batch.rewards.mean())
-    return state
-
-
-def update_b(state: TrainerState, batch: RolloutBatch, alpha: float) -> TrainerState:
-    state.b = (1.0 - alpha) * state.b + alpha * float(batch.value.mean())
-    return state
-
-
 def compute_residuals_and_advantages(
     batch: RolloutBatch, eta_hat: float, lam: float, discount: float = 1.0
 ) -> RolloutBatch:
@@ -395,44 +395,31 @@ def policy_loss(
     return loss, vjp(g)
 
 
-def _algo_terms(config: TrainConfig) -> tuple[float, bool, float]:
-    """(bootstrap discount, whether eta/b run, nu) for the configured path."""
-    if config.algo == "ppo":
-        return config.gamma, False, 0.0
-    return 1.0, True, config.nu
-
-
-def _check_finite(loss_value: float, what: str, state: TrainerState) -> None:
+def _check_finite(run: Run, loss_value: float, what: str) -> None:
     if not math.isfinite(loss_value):
         raise NonFiniteLossError(
-            f"{what} became {loss_value!r} at iteration {state.iteration} "
-            f"(eta_hat={state.eta_hat!r}, b={state.b!r})",
-            state,
+            f"{what} became {loss_value!r} at iteration {run.iteration} "
+            f"(eta_hat={run.eta_hat!r}, b={run.b!r})",
+            run,
         )
 
 
-def _sgd_epochs(
-    build_loss,
-    params: MlpParams,
-    adam: AdamState,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    what: str,
-    state: TrainerState,
-) -> None:
-    """``config.epochs`` passes of Adam over shuffled minibatches of the
-    ``config.rollout_len`` samples of one batch; a non-finite loss or
-    gradient raises before anything is clipped or updated."""
+def _sgd_epochs(run: Run, build_loss, params: MlpParams, adam: AdamState, what: str) -> None:
+    """``epochs`` passes of Adam, drawing from the run's sample stream, over
+    shuffled minibatches of the ``rollout_len`` samples of one batch; a
+    non-finite loss or gradient raises before anything is clipped or
+    updated."""
+    config = run.config
     for _ in range(config.epochs):
-        perm = rng.permutation(config.rollout_len)
+        perm = run.sample_rng.permutation(config.rollout_len)
         for start in range(0, config.rollout_len, config.minibatch):
             idx = perm[start : start + config.minibatch]
             loss, grads = build_loss(idx)
-            _check_finite(loss, what, state)
+            _check_finite(run, loss, what)
             if not np.isfinite(grads).all():  # name the first tensor holding one
                 for name, g in params.views(grads).items():
                     first = float(g.flat[np.isfinite(g).argmin()])
-                    _check_finite(first, f"{what} gradient for tensor {name!r}", state)
+                    _check_finite(run, first, f"{what} gradient for tensor {name!r}")
             clip_global_norm(grads, config.grad_clip)
             adam_step(params, grads, adam, config.beta)
 
@@ -458,7 +445,7 @@ LOG_COLUMNS = [f.name for f in fields(LogRow)]
 class TrainLog:
     config: TrainConfig
     rows: list[LogRow] = field(default_factory=list)
-    state: TrainerState | None = None
+    state: Run | None = None
 
     def write_csv(self, path: str | Path) -> None:
         lines = [
@@ -501,18 +488,83 @@ def evaluate(env, policy: MlpParams | TabularPolicy, horizon: int, episodes: int
     return float(per_episode.mean())
 
 
-def init_trainer(env, config: TrainConfig, init_rng: np.random.Generator) -> TrainerState:
-    obs_dim = env.obs_dim
-    if isinstance(env, TabularEnv):
-        policy = init_mlp(init_rng, obs_dim, env.n_actions, "categorical", config.hidden)
-    else:
-        policy = init_mlp(init_rng, obs_dim, env.action_dim, "gaussian", config.hidden)
-    value = init_mlp(init_rng, obs_dim, 1, "value", config.hidden)
-    return TrainerState(
-        policy=policy,
-        value=value,
-        policy_adam=init_adam_state(policy),
-        value_adam=init_adam_state(value),
+def start_run(env, config: TrainConfig, behavior: TabularPolicy | None = None) -> Run:
+    """Validate ``config``, spawn the seed's streams, draw the policy network
+    (unless a fixed ``behavior`` policy acts) and then the critic from the
+    init stream, spawn the evaluation env, and reset ``env``."""
+    config.validate()
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    init_rng = np.random.default_rng(streams[INIT_STREAM])
+    sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
+    eval_rng = np.random.default_rng(streams[EVAL_STREAM])
+    policy = policy_adam = None
+    if behavior is None:
+        if isinstance(env, TabularEnv):
+            policy = init_mlp(init_rng, env.obs_dim, env.n_actions, "categorical", config.hidden)
+        else:
+            policy = init_mlp(init_rng, env.obs_dim, env.action_dim, "gaussian", config.hidden)
+        policy_adam = init_adam_state(policy)
+    value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
+    eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
+    env.reset()
+    return Run(config, env, eval_env, sample_rng, eval_rng,
+               policy if behavior is None else behavior, policy, policy_adam,
+               value, init_adam_state(value))
+
+
+def step(run: Run) -> LogRow:
+    """One iteration of ``run``: a rollout, the running averages (APO only;
+    under PPO both stay 0.0), the policy epochs unless a fixed behavior
+    policy acts, the value epochs, the logged full-batch losses, and an
+    evaluation every ``eval_every`` iterations and after the last."""
+    config = run.config
+    run.iteration = k = run.iteration + 1
+    try:
+        batch = collect_rollout(run.env, run.acting, run.value, config.rollout_len, run.sample_rng)
+    except NonFiniteLossError as exc:
+        raise NonFiniteLossError(f"{exc} at iteration {k}", run) from None
+    discount, nu = (config.gamma, 0.0) if config.algo == "ppo" else (1.0, config.nu)
+    if config.algo == "apo":
+        alpha = config.alpha
+        run.eta_hat = (1.0 - alpha) * run.eta_hat + alpha * float(batch.rewards.mean())
+        run.b = (1.0 - alpha) * run.b + alpha * float(batch.value.mean())
+    eta, b = run.eta_hat, run.b
+
+    if run.policy is not None:
+        compute_residuals_and_advantages(batch, eta, config.lam, discount)
+        _sgd_epochs(run, lambda idx: policy_loss(run.policy, batch, config.clip_eps, idx),
+                    run.policy, run.policy_adam, "policy loss")
+    _sgd_epochs(run, lambda idx: value_loss(run.value, batch, eta, b, nu, discount, idx),
+                run.value, run.value_adam, "value loss")
+
+    pl = vl = approx_kl = math.nan
+    if run.policy is not None:
+        # one forward per network over the whole batch serves the logged
+        # losses and the approximate KL
+        new_logp = policy_log_prob(run.policy, batch.obs, batch.actions)
+        pl, _ = _clipped_surrogate(new_logp, batch.old_log_prob, batch.advantage, config.clip_eps)
+        vl, _ = _half_squared_error(
+            value_forward(run.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
+        )
+        _check_finite(run, pl, "policy loss")
+        _check_finite(run, vl, "value loss")
+        approx_kl = float(np.mean(batch.old_log_prob - new_logp))
+        _check_finite(run, approx_kl, "approximate KL")
+
+    eval_reward = float("nan")
+    if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):
+        eval_reward = evaluate(run.eval_env, run.acting, config.eval_horizon,
+                               config.eval_episodes, run.eval_rng)
+    return LogRow(
+        iteration=k,
+        env_steps=k * config.rollout_len,
+        eta_hat=run.eta_hat,
+        b=run.b,
+        mean_value=float(batch.value.mean()),
+        policy_loss=pl,
+        value_loss=vl,
+        approx_kl=approx_kl,
+        eval_avg_reward=eval_reward,
     )
 
 
@@ -531,90 +583,8 @@ def _run(env, config: TrainConfig, behavior: TabularPolicy | None) -> TrainLog:
     policy network, which is then neither built nor trained: the critic is
     the only network drawn from the init stream, and each iteration skips
     the residual pass, the policy epochs and the logged full-batch losses."""
-    config.validate()
-    streams = np.random.SeedSequence(config.seed).spawn(4)
-    init_rng = np.random.default_rng(streams[INIT_STREAM])
-    sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
-    eval_rng = np.random.default_rng(streams[EVAL_STREAM])
-
-    if behavior is None:
-        state = init_trainer(env, config, init_rng)
-    else:
-        value = init_mlp(init_rng, env.obs_dim, 1, "value", config.hidden)
-        state = TrainerState(policy=None, value=value, policy_adam=None,
-                             value_adam=init_adam_state(value))
-    acting = state.policy if behavior is None else behavior  # a network updates in place
-    discount, track_averages, nu = _algo_terms(config)
-    eval_env = env.spawn(np.random.default_rng(streams[EVAL_STREAM].spawn(1)[0]))
-    log = TrainLog(config=config, state=state)
-
-    env.reset()
-    for k in range(1, config.iterations + 1):
-        state.iteration = k
-        try:
-            batch = collect_rollout(env, acting, state.value, config.rollout_len, sample_rng)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"{exc} at iteration {k}", state) from None
-        if track_averages:  # otherwise both stay 0.0
-            update_eta_hat(state, batch, config.alpha)
-            update_b(state, batch, config.alpha)
-        eta, b = state.eta_hat, state.b
-
-        if behavior is None:
-            compute_residuals_and_advantages(batch, eta, config.lam, discount)
-            _sgd_epochs(
-                lambda idx: policy_loss(state.policy, batch, config.clip_eps, idx),
-                state.policy,
-                state.policy_adam,
-                config,
-                sample_rng,
-                "policy loss",
-                state,
-            )
-        _sgd_epochs(
-            lambda idx: value_loss(state.value, batch, eta, b, nu, discount, idx),
-            state.value,
-            state.value_adam,
-            config,
-            sample_rng,
-            "value loss",
-            state,
-        )
-
-        pl = vl = approx_kl = math.nan
-        if behavior is None:
-            # one forward per network over the whole batch serves the logged
-            # losses and the approximate KL
-            new_logp = policy_log_prob(state.policy, batch.obs, batch.actions)
-            pl, _ = _clipped_surrogate(
-                new_logp, batch.old_log_prob, batch.advantage, config.clip_eps
-            )
-            vl, _ = _half_squared_error(
-                value_forward(state.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
-            )
-            _check_finite(pl, "policy loss", state)
-            _check_finite(vl, "value loss", state)
-            approx_kl = float(np.mean(batch.old_log_prob - new_logp))
-            _check_finite(approx_kl, "approximate KL", state)
-
-        eval_reward = float("nan")
-        if config.eval_every > 0 and (k % config.eval_every == 0 or k == config.iterations):
-            eval_reward = evaluate(eval_env, acting, config.eval_horizon,
-                                   config.eval_episodes, eval_rng)
-        log.rows.append(
-            LogRow(
-                iteration=k,
-                env_steps=k * config.rollout_len,
-                eta_hat=state.eta_hat,
-                b=state.b,
-                mean_value=float(batch.value.mean()),
-                policy_loss=pl,
-                value_loss=vl,
-                approx_kl=approx_kl,
-                eval_avg_reward=eval_reward,
-            )
-        )
-    return log
+    run = start_run(env, config, behavior)
+    return TrainLog(config, [step(run) for _ in range(config.iterations)], run)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ class TestViews:
                 assert report["m"] == mean_first_passage(mdp, pi).tolist()
                 assert report["kemeny"] == kemeny_constant(mdp, pi)
 
+    def test_passage_equals_the_dense_product_form(self):
+        # broadcasting must give the bits of (I - Z + E Z_dg) D with dense E and D
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            s, a = int(rng.integers(2, 65)), int(rng.integers(2, 5))
+            chain = InducedChain(random_ergodic_mdp(rng, s, a), random_policy(rng, s, a))
+            z, d = chain.fundamental(1.0), chain.stationary.probs
+            dense = (np.eye(s) - z + np.ones((s, s)) @ np.diag(np.diag(z))) @ np.diag(1.0 / d)
+            np.testing.assert_array_equal(chain.passage, dense)
+
 
 class TestGuardsThroughCore:
     @pytest.fixture

@@ -9,11 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from apo import cli, training
+from apo import cli, envs, training
 from apo.envs import make_two_state, switch_policy
 from apo.mdp import Mdp, random_policy, write_mdp, write_policy
 from apo.nn import load_checkpoint
-from apo.training import NonFiniteLossError, TrainConfig, init_trainer
+from apo.training import NonFiniteLossError, TrainConfig, start_run
 from apo.envs import TabularEnv
 from perfbench.tracer import TARGETS
 
@@ -31,9 +31,17 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def strict_json(line: str):
+    """Parse one stderr line, refusing the bare NaN and Infinity that strict
+    JSON readers reject."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
 def stderr_payload(capsys):
-    err = capsys.readouterr().err.strip().splitlines()
-    return json.loads(err[-1])
+    return strict_json(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def write_mdp_json(path, transition):
@@ -113,7 +121,37 @@ class TestAnalyze:
         detail = analyze_violations(mdp_path, tmp_path, capsys)
         assert {(v["kind"], tuple(v["where"])) for v in detail} == {
             ("row-sum", (0, 1)), ("prob-range", (0, 1))}
+        # the row sum is NaN, written as null
+        assert [v["magnitude"] for v in detail if v["kind"] == "row-sum"] == [None]
         assert not (tmp_path / "r.json").exists()
+
+    def test_infinite_reward_magnitude_is_null(self, tmp_path, capsys):
+        mdp_path = tmp_path / "inf.json"
+        mdp_path.write_text(json.dumps({
+            "n_states": 2, "n_actions": 2, "transition": [[[0.5, 0.5]] * 2] * 2,
+            "reward": [[0, float("inf")], [1, 0]], "init_dist": [0.5, 0.5]}))
+        detail = analyze_violations(mdp_path, tmp_path, capsys)
+        assert detail == [{"kind": "reward-finite", "where": [0, 1], "magnitude": None}]
+
+    def test_ill_conditioned_chain_is_a_named_error(self, tmp_path, capsys):
+        # two 2-state blocks joined by edges of probability eps: ergodic, but
+        # the fundamental matrix's residual fails its guard
+        eps = 1e-7
+        rows = [[0.5 - eps, 0.5, eps, 0.0], [0.5, 0.5 - eps, 0.0, eps],
+                [eps, 0.0, 0.5 - eps, 0.5], [eps, 0.0, 0.5, 0.5 - eps]]
+        mdp_path, policy_path = tmp_path / "blocks.json", tmp_path / "one.json"
+        mdp_path.write_text(json.dumps({
+            "n_states": 4, "n_actions": 1, "transition": [[row] for row in rows],
+            "reward": [[0], [1], [0], [1]], "init_dist": [0.25] * 4}))
+        policy_path.write_text(json.dumps({"probs": [[1.0]] * 4}))
+        out = tmp_path / "r.json"
+        code = run_cli(["analyze", "--mdp", str(mdp_path), "--policy", str(policy_path),
+                        "--out", str(out)])
+        assert code == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ill-conditioned"
+        assert "condition estimate" in payload["detail"]
+        assert not out.exists()
 
     def test_non_ergodic_policy_fails(self, tmp_path, capsys):
         mdp_path = tmp_path / "mdp.json"
@@ -324,7 +362,7 @@ class TestTrain:
 
     def test_divergence_dumps_state(self, tmp_path, monkeypatch, capsys):
         env = TabularEnv(make_two_state(), np.random.default_rng(0))
-        state = init_trainer(env, TrainConfig(hidden=(8,)), np.random.default_rng(0))
+        state = start_run(env, TrainConfig(hidden=(8,)))
 
         def explode(env, config):
             raise NonFiniteLossError("policy loss became nan at iteration 5", state)
@@ -419,7 +457,7 @@ class TestAblateNu:
         assert code == 1
         captured = capsys.readouterr()
         assert "ablate-nu: nu=" not in captured.out
-        payload = json.loads(captured.err.strip().splitlines()[-1])
+        payload = strict_json(captured.err.strip().splitlines()[-1])
         assert payload["error"] == "invalid-input"
         assert fragment in payload["detail"]
         assert not out.exists()
@@ -473,9 +511,23 @@ class TestAblateNu:
         assert code == 1
         captured = capsys.readouterr()
         assert "ablate-nu: nu=" not in captured.out
-        assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        assert strict_json(captured.err.strip().splitlines()[-1]) == {
             "error": "invalid-mdp", "detail": expected}
         assert not out.exists()
+
+    def test_reads_a_file_mdp_once(self, tmp_path, monkeypatch):
+        # every (nu, seed) pair runs on the MDP the probe read and validated
+        mdp_path = tmp_path / "env.json"
+        write_mdp(make_two_state(), mdp_path)
+        reads = []
+        read = envs.read_mdp
+        monkeypatch.setattr(envs, "read_mdp", lambda path: reads.append(path) or read(path))
+        out = tmp_path / "ablate.csv"
+        code = run_cli(["ablate-nu", "--env", f"file:{mdp_path}", "--nus", "0,1", "--seeds", "0,1",
+                        "--iterations", "2", "--out", str(out)])
+        assert code == 0
+        assert reads == [mdp_path]
+        assert len(out.read_text().splitlines()) == 5
 
     def test_rejects_continuous_env(self, tmp_path, capsys):
         code = run_cli(["ablate-nu", "--env", "pendulum",

@@ -31,10 +31,9 @@ from apo.training import (
     SAMPLE_STREAM,
     NonFiniteLossError,
     RolloutBatch,
+    Run,
     TabularActor,
     TrainConfig,
-    TrainerState,
-    _algo_terms,
     _check_finite,
     _clipped_surrogate,
     _run,
@@ -43,11 +42,10 @@ from apo.training import (
     _value_targets,
     compute_residuals_and_advantages,
     evaluate,
-    init_trainer,
     policy_loss,
+    start_run,
+    step,
     train,
-    update_b,
-    update_eta_hat,
     value_drift_experiment,
     value_loss,
 )
@@ -600,12 +598,14 @@ class TestCollectRollout:
         assert (env.theta, env.theta_dot) == start
 
     def test_diverged_log_std_in_training_carries_the_state(self, monkeypatch):
-        def diverged(env, config, init_rng):
-            state = init_trainer(env, config, init_rng)
-            state.policy.tensors["log_std"][:] = 1000.0
-            return state
+        start = training.start_run
 
-        monkeypatch.setattr(training, "init_trainer", diverged)
+        def diverged(env, config, behavior=None):
+            run = start(env, config, behavior)
+            run.policy.tensors["log_std"][:] = 1000.0
+            return run
+
+        monkeypatch.setattr(training, "start_run", diverged)
         with pytest.raises(NonFiniteLossError, match="at iteration 1") as err:
             train(seeded_env("pendulum", 3), tiny_config())
         assert err.value.state is not None
@@ -623,42 +623,61 @@ class TestCollectRollout:
         assert abs(batch.rewards.mean() - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
 
+def record_calls(monkeypatch, name: str) -> list[tuple]:
+    """The positional arguments of every call `step` makes to ``training.<name>``."""
+    calls, original = [], getattr(training, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(training, name, recorded)
+    return calls
+
+
 class TestMovingAverages:
-    def test_eta_hat_update_formula(self):
-        state = TrainerState(None, None, None, None)
-        batch = RolloutBatch(None, None, np.array([0.0, 1.0, 0.0, 1.0]), None,
-                             None, None)
-        update_eta_hat(state, batch, 0.1)
-        assert state.eta_hat == 0.1 * 0.5
-        update_eta_hat(state, batch, 0.1)
-        assert state.eta_hat == pytest.approx(0.9 * 0.05 + 0.05, abs=1e-15)
+    """`step` folds each batch's mean reward into ``eta_hat`` and its mean
+    collection-time value into ``b``."""
 
-    def test_alpha_one_jumps_to_batch_mean(self):
-        state = TrainerState(None, None, None, None, eta_hat=123.0, b=-7.0)
-        batch = RolloutBatch(None, None, np.array([0.25, 0.75]), None,
-                             np.array([1.0, 3.0]), None)
-        update_eta_hat(state, batch, 1.0)
-        update_b(state, batch, 1.0)
-        assert state.eta_hat == 0.5
-        assert state.b == 2.0
+    def run_two_steps(self, monkeypatch) -> tuple[list[tuple], list[RolloutBatch]]:
+        """(eta_hat, b) after each of two steps at alpha 0.1, and the two batches."""
+        calls = record_calls(monkeypatch, "compute_residuals_and_advantages")
+        run = start_run(seeded_env("twostate", 7), tiny_config(alpha=0.1, eval_every=0))
+        trace = []
+        for _ in range(2):
+            step(run)
+            trace.append((run.eta_hat, run.b))
+        return trace, [args[0] for args in calls]
 
-    def test_b_uses_collection_time_values(self):
-        state = TrainerState(None, None, None, None)
-        values = np.array([0.5, -0.5, 1.5])
-        batch = RolloutBatch(None, None, None, None, values, None)
-        update_b(state, batch, 0.1)
-        assert state.b == 0.1 * values.mean()
+    def test_eta_hat_update_formula(self, monkeypatch):
+        trace, batches = self.run_two_steps(monkeypatch)
+        first = 0.1 * float(batches[0].rewards.mean())
+        assert trace[0][0] == first
+        assert trace[1][0] == 0.9 * first + 0.1 * float(batches[1].rewards.mean())
+
+    def test_b_uses_collection_time_values(self, monkeypatch):
+        trace, batches = self.run_two_steps(monkeypatch)
+        first = 0.1 * float(batches[0].value.mean())
+        assert trace[0][1] == first
+        assert trace[1][1] == 0.9 * first + 0.1 * float(batches[1].value.mean())
+
+    def test_alpha_one_jumps_to_batch_mean(self, monkeypatch):
+        calls = record_calls(monkeypatch, "compute_residuals_and_advantages")
+        run = start_run(seeded_env("twostate", 7), tiny_config(alpha=1.0, eval_every=0))
+        run.eta_hat, run.b = 123.0, -7.0
+        row = step(run)
+        batch = calls[0][0]
+        assert run.eta_hat == row.eta_hat == float(batch.rewards.mean())
+        assert run.b == row.b == float(batch.value.mean())
 
     def test_eta_hat_converges_on_two_state(self, two_state):
-        env = TabularEnv(two_state, np.random.default_rng(0))
-        value = init_mlp(np.random.default_rng(20), 2, 1, "value", (4,))
-        policy = switch_policy(0.5, 0.5)
-        state = TrainerState(None, None, None, None)
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            batch = collect_rollout(env, policy, value, 128, rng)
-            update_eta_hat(state, batch, 0.1)
-        assert abs(state.eta_hat - 0.5) < 0.05
+        cfg = tiny_config(iterations=200, rollout_len=128, minibatch=128, epochs=1,
+                          eval_every=0, hidden=(4,))
+        run = start_run(TabularEnv(two_state, np.random.default_rng(0)), cfg,
+                        switch_policy(0.5, 0.5))
+        for _ in range(cfg.iterations):
+            step(run)
+        assert abs(run.eta_hat - 0.5) < 0.05
 
 
 class TestResidualsAndAdvantages:
@@ -858,84 +877,90 @@ class TestLosses:
 
 
 class TestAlgoTerms:
-    def test_ppo_terms(self):
-        cfg = TrainConfig(algo="ppo", gamma=0.9, nu=0.3)
-        assert _algo_terms(cfg) == (0.9, False, 0.0)
+    def step_terms(self, monkeypatch, algo: str) -> tuple:
+        """The (discount, nu) one `step` at gamma 0.9 and nu 0.25 passes on."""
+        residuals = record_calls(monkeypatch, "compute_residuals_and_advantages")
+        losses = record_calls(monkeypatch, "value_loss")
+        cfg = tiny_config(algo=algo, gamma=0.9, nu=0.25, eval_every=0)
+        run = start_run(seeded_env("twostate", cfg.seed), cfg)
+        step(run)
+        (discount,) = {args[3] for args in residuals}
+        # every value minibatch sees the same (eta_hat, b, nu, discount)
+        ((eta, b, nu, value_discount),) = {args[2:6] for args in losses}
+        assert (eta, b, value_discount) == (run.eta_hat, run.b, discount)
+        return discount, nu
 
-    def test_apo_terms(self):
-        cfg = TrainConfig(algo="apo", gamma=0.9, nu=0.25)
-        assert _algo_terms(cfg) == (1.0, True, 0.25)
+    def test_ppo_terms(self, monkeypatch):
+        assert self.step_terms(monkeypatch, "ppo") == (0.9, 0.0)
+
+    def test_apo_terms(self, monkeypatch):
+        assert self.step_terms(monkeypatch, "apo") == (1.0, 0.25)
 
     def test_check_finite_passes_and_raises(self):
-        state = TrainerState(None, None, None, None, eta_hat=0.5, b=0.1, iteration=3)
-        _check_finite(0.0, "policy loss", state)
+        run = start_run(seeded_env("twostate", 7), tiny_config())
+        run.eta_hat, run.b, run.iteration = 0.5, 0.1, 3
+        _check_finite(run, 0.0, "policy loss")
         with pytest.raises(NonFiniteLossError) as err:
-            _check_finite(float("nan"), "value loss", state)
-        assert err.value.state is state
+            _check_finite(run, float("nan"), "value loss")
+        assert err.value.state is run
         assert "value loss" in str(err.value)
         assert "iteration 3" in str(err.value)
 
     def test_sgd_epochs_raises_on_poisoned_params(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
-        cfg = tiny_config()
-        state = init_trainer(env, cfg, np.random.default_rng(40))
+        run = start_run(env, tiny_config())
         batch = collect_rollout(env, switch_policy(0.5, 0.5),
-                                state.value, 64, np.random.default_rng(41))
-        state.value.tensors["w0"][0, 0] = np.nan
+                                run.value, 64, np.random.default_rng(41))
+        run.value.tensors["w0"][0, 0] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            _sgd_epochs(
-                lambda idx: value_loss(state.value, batch, 0.0, 0.0, 0.0, 1.0, idx),
-                state.value, state.value_adam, cfg,
-                np.random.default_rng(42), "value loss", state)
-        assert err.value.state is state
+            _sgd_epochs(run, lambda idx: value_loss(run.value, batch, 0.0, 0.0, 0.0, 1.0, idx),
+                        run.value, run.value_adam, "value loss")
+        assert err.value.state is run
 
     def test_sgd_epochs_names_non_finite_gradient_before_any_update(self, two_state, monkeypatch):
         env = TabularEnv(two_state, np.random.default_rng(0))
         cfg = tiny_config()
-        state = init_trainer(env, cfg, np.random.default_rng(43))
-        batch = collect_rollout(env, state.policy, state.value, 64,
+        run = start_run(env, cfg)
+        batch = collect_rollout(env, run.policy, run.value, 64,
                                 np.random.default_rng(44))
         compute_residuals_and_advantages(batch, 0.0, 0.9)
 
         def poisoned(idx):  # a finite loss with a NaN gradient
-            loss, grads = policy_loss(state.policy, batch, cfg.clip_eps, idx)
+            loss, grads = policy_loss(run.policy, batch, cfg.clip_eps, idx)
             grads[:] = np.nan
             return loss, grads
 
-        state.iteration = 4
+        run.iteration = 4
         # one Adam step first, so that the moments to keep are not zeros
-        training.adam_step(state.policy, np.ones_like(state.policy.flat), state.policy_adam, 1e-3)
-        before = copy.deepcopy((state.policy.flat, state.policy_adam))
+        training.adam_step(run.policy, np.ones_like(run.policy.flat), run.policy_adam, 1e-3)
+        before = copy.deepcopy((run.policy.flat, run.policy_adam))
         clipped = []
         monkeypatch.setattr(training, "clip_global_norm", lambda g, m: clipped.append(g))
         with pytest.raises(NonFiniteLossError) as err:
-            _sgd_epochs(poisoned, state.policy, state.policy_adam, cfg,
-                        np.random.default_rng(45), "policy loss", state)
-        assert err.value.state is state
+            _sgd_epochs(run, poisoned, run.policy, run.policy_adam, "policy loss")
+        assert err.value.state is run
         assert "policy loss gradient for tensor 'w0'" in str(err.value)
         assert "iteration 4" in str(err.value)
         assert clipped == []
-        np.testing.assert_array_equal(state.policy.flat, before[0])
-        np.testing.assert_array_equal(state.policy_adam.m, before[1].m)
-        np.testing.assert_array_equal(state.policy_adam.v, before[1].v)
-        assert state.policy_adam.t == 1
+        np.testing.assert_array_equal(run.policy.flat, before[0])
+        np.testing.assert_array_equal(run.policy_adam.m, before[1].m)
+        np.testing.assert_array_equal(run.policy_adam.v, before[1].v)
+        assert run.policy_adam.t == 1
 
     def test_sgd_epochs_names_the_first_non_finite_tensor(self, two_state):
         env = TabularEnv(two_state, np.random.default_rng(0))
-        cfg = tiny_config()
-        state = init_trainer(env, cfg, np.random.default_rng(46))
+        run = start_run(env, tiny_config())
         batch = collect_rollout(env, switch_policy(0.5, 0.5),
-                                state.value, 64, np.random.default_rng(47))
+                                run.value, 64, np.random.default_rng(47))
 
         def poisoned(idx):
-            loss, grads = value_loss(state.value, batch, 0.0, 0.0, 0.0, 1.0, idx)
-            state.value.views(grads)["b1"][0] = np.inf
+            loss, grads = value_loss(run.value, batch, 0.0, 0.0, 0.0, 1.0, idx)
+            run.value.views(grads)["b1"][0] = np.inf
             return loss, grads
 
         with pytest.raises(NonFiniteLossError, match="gradient for tensor 'b1'"):
-            _sgd_epochs(poisoned, state.value, state.value_adam, cfg,
-                        np.random.default_rng(48), "value loss", state)
-        assert state.value_adam.t == 0
+            _sgd_epochs(run, poisoned, run.value, run.value_adam, "value loss")
+        assert run.value_adam.t == 0
 
 
 class TestPpoPathEquivalence:
@@ -953,23 +978,21 @@ class TestPpoPathEquivalence:
         env = make_env("twostate", np.random.default_rng(streams[ENV_STREAM]))
         init_rng = np.random.default_rng(streams[INIT_STREAM])
         sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
-        state = init_trainer(env, cfg, init_rng)
+        policy = init_mlp(init_rng, 2, 2, "categorical", cfg.hidden)
+        value = init_mlp(init_rng, 2, 1, "value", cfg.hidden)
+        run = Run(cfg, env, None, sample_rng, None, policy, policy, init_adam_state(policy),
+                  value, init_adam_state(value), iteration=1)
         env.reset()
-        state.iteration = 1
-        batch = collect_rollout(env, state.policy, state.value,
-                                cfg.rollout_len, sample_rng)
+        batch = collect_rollout(env, policy, value, cfg.rollout_len, sample_rng)
         compute_residuals_and_advantages(batch, 0.0, cfg.lam, cfg.gamma)
-        _sgd_epochs(lambda idx: policy_loss(state.policy, batch, cfg.clip_eps, idx),
-                    state.policy, state.policy_adam, cfg,
-                    sample_rng, "policy loss", state)
-        _sgd_epochs(lambda idx: value_loss(state.value, batch, 0.0, 0.0, 0.0,
-                                           cfg.gamma, idx),
-                    state.value, state.value_adam, cfg,
-                    sample_rng, "value loss", state)
+        _sgd_epochs(run, lambda idx: policy_loss(policy, batch, cfg.clip_eps, idx),
+                    policy, run.policy_adam, "policy loss")
+        _sgd_epochs(run, lambda idx: value_loss(value, batch, 0.0, 0.0, 0.0, cfg.gamma, idx),
+                    value, run.value_adam, "value loss")
 
-        for name, expected in state.policy.tensors.items():
+        for name, expected in policy.tensors.items():
             np.testing.assert_array_equal(log.state.policy.tensors[name], expected)
-        for name, expected in state.value.tensors.items():
+        for name, expected in value.tensors.items():
             np.testing.assert_array_equal(log.state.value.tensors[name], expected)
 
     def test_ppo_rows_keep_averages_at_zero(self):
@@ -985,14 +1008,8 @@ class TestTrainLoop:
         cfg = tiny_config(algo="apo", iterations=1, eval_every=0)
         log = train(seeded_env("twostate", cfg.seed), cfg)
 
-        streams = np.random.SeedSequence(cfg.seed).spawn(4)
-        env = make_env("twostate", np.random.default_rng(streams[ENV_STREAM]))
-        init_rng = np.random.default_rng(streams[INIT_STREAM])
-        sample_rng = np.random.default_rng(streams[SAMPLE_STREAM])
-        state = init_trainer(env, cfg, init_rng)
-        env.reset()
-        batch = collect_rollout(env, state.policy, state.value,
-                                cfg.rollout_len, sample_rng)
+        run = start_run(seeded_env("twostate", cfg.seed), cfg)
+        batch = collect_rollout(run.env, run.acting, run.value, cfg.rollout_len, run.sample_rng)
         assert log.rows[0].b == cfg.alpha * float(batch.value.mean())
         assert log.rows[0].eta_hat == cfg.alpha * float(batch.rewards.mean())
         assert log.rows[0].mean_value == float(batch.value.mean())
@@ -1106,26 +1123,50 @@ class TestEvaluate:
 
 class TestInitTrainer:
     def test_discrete_env_gets_categorical_head(self, two_state):
-        env = TabularEnv(two_state, np.random.default_rng(0))
-        state = init_trainer(env, tiny_config(), np.random.default_rng(48))
-        assert state.policy.head == "categorical"
-        assert state.value.head == "value"
-        assert state.policy.out_dim == 2
-        assert state.eta_hat == 0.0 and state.b == 0.0
+        run = start_run(TabularEnv(two_state, np.random.default_rng(0)), tiny_config())
+        assert run.acting is run.policy
+        assert run.policy.head == "categorical"
+        assert run.value.head == "value"
+        assert run.policy.out_dim == 2
+        assert run.eta_hat == 0.0 and run.b == 0.0 and run.iteration == 0
 
     def test_continuous_env_gets_gaussian_head(self):
-        env = seeded_env("pendulum", 0)
-        state = init_trainer(env, tiny_config(), np.random.default_rng(49))
-        assert state.policy.head == "gaussian"
-        assert "log_std" in state.policy.tensors
+        run = start_run(seeded_env("pendulum", 0), tiny_config())
+        assert run.policy.head == "gaussian"
+        assert "log_std" in run.policy.tensors
 
     def test_same_rng_same_params(self, two_state):
-        env = TabularEnv(two_state, np.random.default_rng(0))
-        s1 = init_trainer(env, tiny_config(), np.random.default_rng(50))
-        s2 = init_trainer(env, tiny_config(), np.random.default_rng(50))
-        for name in s1.policy.tensors:
-            np.testing.assert_array_equal(s1.policy.tensors[name],
-                                          s2.policy.tensors[name])
+        r1, r2 = (start_run(TabularEnv(two_state, np.random.default_rng(0)), tiny_config())
+                  for _ in range(2))
+        np.testing.assert_array_equal(r1.policy.flat, r2.policy.flat)
+        np.testing.assert_array_equal(r1.value.flat, r2.value.flat)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_init_stream_draws_policy_then_critic(self, two_state, fixed):
+        cfg = tiny_config()
+        behavior = switch_policy(0.5, 0.5) if fixed else None
+        run = start_run(TabularEnv(two_state, np.random.default_rng(0)), cfg, behavior)
+        init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[INIT_STREAM])
+        if fixed:  # no policy network is drawn
+            assert run.acting is behavior and run.policy is None and run.policy_adam is None
+        else:
+            expected = init_mlp(init_rng, 2, 2, "categorical", cfg.hidden)
+            np.testing.assert_array_equal(run.policy.flat, expected.flat)
+        expected = init_mlp(init_rng, 2, 1, "value", cfg.hidden)
+        np.testing.assert_array_equal(run.value.flat, expected.flat)
+
+
+class TestStep:
+    @pytest.mark.parametrize("name", ["twostate", "pendulum"])
+    def test_steps_give_the_rows_of_train(self, name):
+        cfg = tiny_config(iterations=4, eval_every=2)
+        log = train(seeded_env(name, cfg.seed), cfg)
+        for k in (1, 3, 4):
+            run = start_run(seeded_env(name, cfg.seed), cfg)
+            assert [repr(step(run)) for _ in range(k)] == [repr(row) for row in log.rows[:k]]
+            assert run.iteration == k
+        np.testing.assert_array_equal(run.policy.flat, log.state.policy.flat)
+        np.testing.assert_array_equal(run.value.flat, log.state.value.flat)
 
 
 class TestValueDrift:

@@ -15,8 +15,9 @@ a temporary directory.  The set:
   (seed 11), pendulum (seed 5) and, with apo, a ``file:`` MDP whose start
   state is transient (seed 4), each 6 iterations with an evaluation every 3:
   the log CSV, the checkpoint and the printed summary;
-- ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations, and on
-  twoloop at nu 0.3, seed 2, 30 iterations;
+- ``ablate-nu`` at nu 0 and 1, seeds 0 and 1, 100 iterations; on twoloop
+  at nu 0.3, seed 2, 30 iterations; and on the transient ``file:`` MDP at
+  nu 0 and 1, seeds 0 and 1, 20 iterations;
 - ``verify`` at its default flags;
 - ``analyze`` of a seeded 12-state, 4-action MDP under a seeded policy.
 
@@ -90,8 +91,9 @@ def write_analyze_inputs(work: Path) -> tuple[Path, Path]:
 def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
     config = work / "short.json"
     config.write_text(json.dumps(SHORT_TRAIN))
+    transient_env = f"file:{write_transient_mdp(work)}"
     transient = ("train-transient-apo-s4",
-                 ["--env", f"file:{write_transient_mdp(work)}", "--algo", "apo", "--seed", "4"])
+                 ["--env", transient_env, "--algo", "apo", "--seed", "4"])
     out = []
     for name, argv in [*TRAIN_RUNS, transient]:
         log = work / f"{name}.csv"
@@ -99,7 +101,9 @@ def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
                     [log, log.with_suffix(".ckpt.npz")]))
     for name, argv in [("ablate-nu", ["--nus", "0,1", "--seeds", "0,1", "--iterations", "100"]),
                        ("ablate-nu-twoloop", ["--env", "twoloop", "--nus", "0.3", "--seeds", "2",
-                                              "--iterations", "30"])]:
+                                              "--iterations", "30"]),
+                       ("ablate-nu-transient", ["--env", transient_env, "--nus", "0,1",
+                                                "--seeds", "0,1", "--iterations", "20"])]:
         ablate = work / f"{name}.csv"
         out.append((name, ["ablate-nu", *argv, "--out", str(ablate)], [ablate]))
     verify = work / "verify.csv"
