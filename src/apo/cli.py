@@ -31,7 +31,7 @@ from apo.mdp import (
     MdpFileError,
     NotErgodicError,
     TabularPolicy,
-    is_ergodic,
+    first_unreachable,
     random_ergodic_mdp,
     random_policy,
     read_mdp,
@@ -94,11 +94,10 @@ def cmd_analyze(args) -> int:
     mdp = read_mdp(args.mdp)
     if violations := _violations(mdp):
         return _fail("invalid-mdp", violations)
-    policy = read_policy(args.policy)
-    ok, unreachable = is_ergodic(mdp, policy)
-    if not ok:
+    chain = InducedChain(mdp, read_policy(args.policy))
+    if (unreachable := first_unreachable(chain.p)) is not None:
         return _fail("not-ergodic", {"unreachable_pair": list(unreachable)})
-    report = analysis_report(InducedChain(mdp, policy), args.gamma)
+    report = analysis_report(chain, args.gamma)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"analyze: wrote {args.out}")
     return 0

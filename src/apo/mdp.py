@@ -216,13 +216,19 @@ def induced_reward(mdp: Mdp, policy: TabularPolicy) -> np.ndarray:
 def is_ergodic(mdp: Mdp, policy: TabularPolicy) -> tuple[bool, tuple[int, int] | None]:
     """Reachability check on the induced chain.
 
-    Edges with probability below ``REACH_EPS`` are ignored.  Returns
-    ``(True, None)`` when every state reaches every other state, else
-    ``(False, (source, target))`` for the first unreachable pair.  Periodic
-    but irreducible chains count as ergodic here; what matters downstream is
-    a unique stationary distribution.
+    Returns ``(True, None)`` when every state reaches every other state, else
+    ``(False, (source, target))`` for the first unreachable pair (see
+    `first_unreachable`).  Periodic but irreducible chains count as ergodic
+    here; what matters downstream is a unique stationary distribution.
     """
-    p = induced_transition(mdp, policy)
+    pair = first_unreachable(induced_transition(mdp, policy))
+    return pair is None, pair
+
+
+def first_unreachable(p: np.ndarray) -> tuple[int, int] | None:
+    """The first ``(source, target)`` pair of states of the chain with
+    transition matrix ``p`` where the source cannot reach the target, or
+    None.  Edges with probability below ``REACH_EPS`` are ignored."""
     n = p.shape[0]
     reach = (p > REACH_EPS) | np.eye(n, dtype=bool)
     # Boolean closure; doubles path length each round.
@@ -232,9 +238,9 @@ def is_ergodic(mdp: Mdp, policy: TabularPolicy) -> tuple[bool, tuple[int, int] |
             break
         reach = nxt
     if reach.all():
-        return True, None
+        return None
     src, tgt = np.argwhere(~reach)[0]
-    return False, (int(src), int(tgt))
+    return int(src), int(tgt)
 
 
 def random_ergodic_mdp(

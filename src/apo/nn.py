@@ -19,6 +19,21 @@ of one call per step.
 `value_vjp` and `policy_log_prob_vjp` pair a forward pass with the
 vector-Jacobian product that reuses its cached terms.
 
+On a tabular batch every input row is one of S one-hot rows, so the four
+batch helpers (`value_forward`, `value_vjp`, `policy_log_prob`,
+`policy_log_prob_vjp`) take the optional state index of each row.  With
+them, `_forward` runs the distinct pass: it forwards the S one-hot rows
+once, repeated up to a multiple of 4 rows, and gathers by state the output
+and, for `backward`, every layer input and each hidden layer's slope
+``1 - h^2``.  `backward` is unchanged otherwise: its products still run on
+the gathered full-batch arrays, so the gradient has the dense pass's bits.
+That holds only while a row's bits do not depend on where the row sits in
+the batch, which OpenBLAS keeps for row counts that are multiples of 4.  So
+a batch is forwarded dense when it carries no states, when its row count is
+not a multiple of 4, or when `_probe`, run once per process at each
+(in_dim, hidden, out_dim, rows) shape, has found a distinct output or layer
+input that differs from the dense one in any bit.
+
 `backward` writes the gradient into one fresh vector laid out like the
 parameters (`MlpParams.views` names its parts), so `clip_global_norm` is
 one dot product and one scale; Adam's moments share the layout, and
@@ -27,6 +42,7 @@ one dot product and one scale; Adam's moments share the layout, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,16 +138,74 @@ def mlp_forward(params: MlpParams, x: np.ndarray, acts: list | None = None) -> n
     return h @ w + b
 
 
+# (in_dim, hidden, out_dim, rows) -> whether the distinct pass gave the
+# dense pass's bits at that shape, as `_probe` found on its first batch
+_DISTINCT_OK: dict[tuple, bool] = {}
+
+
+@functools.cache
+def _distinct_rows(n_states: int) -> np.ndarray:
+    """The ``n_states`` one-hot rows, repeated up to a multiple of 4 rows."""
+    rows = np.eye(n_states)[np.arange(-(-n_states // 4) * 4) % n_states]
+    rows.flags.writeable = False
+    return rows
+
+
+def _distinct_forward(params: MlpParams, states: np.ndarray, keep: bool):
+    """`_forward`'s result from one pass over the distinct one-hot rows."""
+    acts: list = []
+    out = mlp_forward(params, _distinct_rows(params.in_dim), acts)
+    if not keep:
+        return np.take(out, states, axis=0), None, None
+    slopes = [np.take(1.0 - np.square(h), states, axis=0) for h in acts[1:]]
+    return (np.take(out, states, axis=0), [np.take(h, states, axis=0) for h in acts],
+            slopes)
+
+
+def _probe(params: MlpParams, obs: np.ndarray, states: np.ndarray) -> bool:
+    """Whether the distinct pass gives the dense output and layer inputs of
+    this batch bit for bit (gathered one array at a time, to hold little
+    memory beyond the dense pass's own)."""
+    dense_acts: list = []
+    dense = mlp_forward(params, obs, dense_acts)
+    acts: list = []
+    out = mlp_forward(params, _distinct_rows(params.in_dim), acts)
+    return all(np.array_equal(np.take(a, states, axis=0).view(np.int64), d.view(np.int64))
+               for a, d in zip([out, *acts], [dense, *dense_acts]))
+
+
+def _forward(params: MlpParams, obs: np.ndarray, states: np.ndarray | None = None,
+             keep: bool = False):
+    """``(out, acts, slopes)`` for one batch: the network output and, when
+    ``keep``, what `backward` reads, the layer inputs and the hidden slopes
+    (None on the dense pass, where `backward` takes them from the inputs).
+
+    ``states[i]``, when given, is the state whose one-hot row is ``obs[i]``;
+    the distinct pass then serves the batch if its row count is a multiple
+    of 4 and the probe at this shape passed.
+    """
+    if states is not None and obs.shape[0] % 4 == 0:
+        key = (params.in_dim, params.hidden, params.out_dim, obs.shape[0])
+        if key not in _DISTINCT_OK:
+            _DISTINCT_OK[key] = _probe(params, obs, states)
+        if _DISTINCT_OK[key]:
+            return _distinct_forward(params, states, keep)
+    acts = [] if keep else None
+    return mlp_forward(params, obs, acts), acts, None
+
+
 def backward(
     params: MlpParams,
     acts: list,
     g_out: np.ndarray,
     log_std_grad: np.ndarray | None = None,
+    slopes: list | None = None,
 ) -> np.ndarray:
     """Gradient of ``sum(g_out * out)`` with respect to ``params.flat``, as a
     fresh vector laid out like it.
 
-    ``acts`` are the layer inputs `mlp_forward` kept for the same batch.
+    ``acts`` are the layer inputs `mlp_forward` kept for the same batch, and
+    ``slopes``, if given, each hidden layer's ``1 - h^2`` for them.
     ``log_std_grad`` is the Gaussian head's log-std gradient, which the
     network body does not see; it is passed through (zeros when omitted).
     """
@@ -149,20 +223,22 @@ def backward(
         np.matmul(h.T, g, out=grads[2 * i])
         np.sum(g, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = (g @ params.layers[i][0].T) * (1.0 - np.square(h))
+            slope = 1.0 - np.square(h) if slopes is None else slopes[i - 1]
+            g = (g @ params.layers[i][0].T) * slope
     if params.head == "gaussian":
         grads[-1][...] = 0.0 if log_std_grad is None else log_std_grad
     return flat
 
 
-def value_forward(params: MlpParams, obs: np.ndarray) -> np.ndarray:
+def value_forward(params: MlpParams, obs: np.ndarray,
+                  states: np.ndarray | None = None) -> np.ndarray:
     """Scalar values for a batch of observations, shape (B,)."""
     if params.head != "value":
         raise ValueError(f"value_forward needs a value head, got {params.head!r}")
-    return mlp_forward(params, obs)[:, 0]
+    return _forward(params, obs, states)[0][:, 0]
 
 
-def value_vjp(params: MlpParams, obs: np.ndarray):
+def value_vjp(params: MlpParams, obs: np.ndarray, states: np.ndarray | None = None):
     """Values for a batch plus their vector-Jacobian product.
 
     Returns ``(values, vjp)``; ``vjp(g)`` is the gradient of
@@ -170,9 +246,8 @@ def value_vjp(params: MlpParams, obs: np.ndarray):
     """
     if params.head != "value":
         raise ValueError(f"value_vjp needs a value head, got {params.head!r}")
-    acts: list = []
-    out = mlp_forward(params, obs, acts)
-    return out[:, 0], lambda g: backward(params, acts, g.reshape(out.shape))
+    out, acts, slopes = _forward(params, obs, states, keep=True)
+    return out[:, 0], lambda g: backward(params, acts, g.reshape(out.shape), slopes=slopes)
 
 
 def _softmax_terms(logits: np.ndarray):
@@ -218,23 +293,25 @@ def _log_prob_grad(params: MlpParams, terms, g: np.ndarray):
     return g_out, g_log_std
 
 
-def policy_log_prob(params: MlpParams, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def policy_log_prob(params: MlpParams, obs: np.ndarray, actions: np.ndarray,
+                    states: np.ndarray | None = None) -> np.ndarray:
     """Log-probabilities of a batch of actions, shape (B,)."""
-    return _log_prob(params, mlp_forward(params, obs), actions)[0]
+    return _log_prob(params, _forward(params, obs, states)[0], actions)[0]
 
 
-def policy_log_prob_vjp(params: MlpParams, obs: np.ndarray, actions: np.ndarray):
+def policy_log_prob_vjp(params: MlpParams, obs: np.ndarray, actions: np.ndarray,
+                        states: np.ndarray | None = None):
     """Log-probabilities of a batch of actions plus their vector-Jacobian product.
 
     Returns ``(logp, vjp)``; ``vjp(g)`` is the gradient of ``sum(g * logp)``
     with respect to ``params.flat``.
     """
-    acts: list = []
-    logp, terms = _log_prob(params, mlp_forward(params, obs, acts), actions)
+    out, acts, slopes = _forward(params, obs, states, keep=True)
+    logp, terms = _log_prob(params, out, actions)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         g_out, g_log_std = _log_prob_grad(params, terms, g)
-        return backward(params, acts, g_out, g_log_std)
+        return backward(params, acts, g_out, g_log_std, slopes)
 
     return logp, vjp
 

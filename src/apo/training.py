@@ -24,9 +24,19 @@ iteration.
 
 `collect_rollout` and `evaluate` take the acting policy, a network or a
 `TabularPolicy`.  On a `TabularEnv` either acts through one per-state table,
-`TabularActor`, built per call and filled on each state's first visit.
+`TabularActor`, built per call and filled on each state's first visit, and
+the rollout records each visited state in ``RolloutBatch.states``.
 Elsewhere a Gaussian network draws a rollout's noise in one call and runs
 one forward per step.
+
+The losses and the logged full-batch passes hand those states to the
+network helpers, which then forward the distinct one-hot rows once and
+gather (`apo.nn`), with the dense pass's bits.  These passes stay dense:
+the critic pass at collection time, which gets no states (its
+``rollout_len + 1`` rows, 2049 by default, end in rows that BLAS treats by
+their position); minibatches whose size is not a multiple of 4;
+`TabularActor`'s one-row forwards; and every pass off a `TabularEnv`,
+whose batches carry no states.
 
 Randomness: a master seed spawns four child streams via
 ``np.random.SeedSequence(seed).spawn(4)`` in the order (environment,
@@ -185,7 +195,9 @@ class RolloutBatch:
 
     ``value`` and ``next_value`` are collection-time critic outputs; the
     residuals, advantages, and the value loss's targets are all built from
-    these, so later critic updates cannot leak into the targets.
+    these, so later critic updates cannot leak into the targets.  On a
+    `TabularEnv`, ``states`` holds the state of each sample (``obs`` is its
+    one-hot row); elsewhere it is None.
     """
 
     obs: np.ndarray
@@ -196,6 +208,7 @@ class RolloutBatch:
     next_value: np.ndarray
     td_residual: np.ndarray | None = None
     advantage: np.ndarray | None = None
+    states: np.ndarray | None = None
 
 
 class TabularActor(dict):
@@ -243,7 +256,8 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
     ``policy``, a network or a `TabularPolicy`, acting.
 
     The policy's parameters are frozen while it runs.  On a `TabularEnv` it
-    acts on ``env.state`` through a `TabularActor` built for this call.  A
+    acts on ``env.state`` through a `TabularActor` built for this call, and
+    the observations are the identity rows of the visited states.  A
     Gaussian network draws all its noise in one call and scales it once,
     runs one (1, obs_dim) forward per step for the mean, and takes every
     log-probability in one pass after the last step: the same draws and the
@@ -253,21 +267,22 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
     come from one batched critic pass at the current parameters, so
     ``next_value[n]`` is exactly ``value[n + 1]`` for all but the last entry.
     """
-    obs = env.observation()
-    all_obs, actions, rewards = [obs], [], []
+    actions, rewards, states = [], [], None
     if isinstance(env, TabularEnv):
-        act, old_logp = TabularActor(policy).act, []
+        act, old_logp, states = TabularActor(policy).act, [], [env.state]
         for _ in range(n_steps):
             action, logp = act(env.state, rng)
-            result = env.step(action)
-            obs = result.next_observation
-            all_obs.append(obs)
+            rewards.append(env.step(action).reward)
+            states.append(env.state)
             actions.append(action)
-            rewards.append(result.reward)
             old_logp.append(logp)
         actions = np.array(actions, dtype=np.int64)
         old_logp = np.array(old_logp, dtype=np.float64)
+        states = np.array(states, dtype=np.int64)
+        all_obs = np.eye(env.obs_dim)[states]
     else:
+        obs = env.observation()
+        all_obs = [obs]
         log_std = policy.tensors["log_std"]
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             noise = np.exp(log_std) * rng.standard_normal((n_steps, policy.out_dim))
@@ -283,7 +298,9 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
             rewards.append(result.reward)
         actions = means + noise
         old_logp = _log_prob(policy, means, actions)[0]
-    all_obs = np.array(all_obs, dtype=np.float64)
+        all_obs = np.array(all_obs, dtype=np.float64)
+    # dense even on a TabularEnv: past the last multiple of 4 rows, a row's
+    # bits depend on its position, so the distinct pass would move floats
     values = value_forward(value_params, all_obs)
     return RolloutBatch(
         obs=all_obs[:-1].copy(),
@@ -292,6 +309,7 @@ def collect_rollout(env, policy, value_params: MlpParams, n_steps: int, rng) -> 
         old_log_prob=old_logp,
         value=values[:-1].copy(),
         next_value=values[1:].copy(),
+        states=None if states is None else states[:-1].copy(),
     )
 
 
@@ -352,6 +370,10 @@ def _clipped_surrogate(
     return float(loss), g_ratio * np.where(take_unclipped | inside, ratio, 0.0)
 
 
+def _rows(states: np.ndarray | None, idx) -> np.ndarray | None:
+    return None if states is None else states[idx]
+
+
 def value_loss(
     value_params: MlpParams,
     batch: RolloutBatch,
@@ -369,7 +391,7 @@ def value_loss(
     """
     targets = _value_targets(batch, eta_hat, b, nu, discount)
     idx = slice(None) if indices is None else indices
-    v, vjp = value_vjp(value_params, batch.obs[idx])
+    v, vjp = value_vjp(value_params, batch.obs[idx], _rows(batch.states, idx))
     loss, g = _half_squared_error(v, targets[idx])
     return loss, vjp(g)
 
@@ -388,7 +410,8 @@ def policy_loss(
     if batch.advantage is None:
         raise ValueError("advantages not computed; call compute_residuals_and_advantages")
     idx = slice(None) if indices is None else indices
-    logp, vjp = policy_log_prob_vjp(policy_params, batch.obs[idx], batch.actions[idx])
+    logp, vjp = policy_log_prob_vjp(policy_params, batch.obs[idx], batch.actions[idx],
+                                    _rows(batch.states, idx))
     loss, g = _clipped_surrogate(
         logp, batch.old_log_prob[idx], batch.advantage[idx], clip_eps
     )
@@ -541,11 +564,10 @@ def step(run: Run) -> LogRow:
     if run.policy is not None:
         # one forward per network over the whole batch serves the logged
         # losses and the approximate KL
-        new_logp = policy_log_prob(run.policy, batch.obs, batch.actions)
+        new_logp = policy_log_prob(run.policy, batch.obs, batch.actions, batch.states)
         pl, _ = _clipped_surrogate(new_logp, batch.old_log_prob, batch.advantage, config.clip_eps)
-        vl, _ = _half_squared_error(
-            value_forward(run.value, batch.obs), _value_targets(batch, eta, b, nu, discount)
-        )
+        vl, _ = _half_squared_error(value_forward(run.value, batch.obs, batch.states),
+                                    _value_targets(batch, eta, b, nu, discount))
         _check_finite(run, pl, "policy loss")
         _check_finite(run, vl, "value loss")
         approx_kl = float(np.mean(batch.old_log_prob - new_logp))

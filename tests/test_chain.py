@@ -25,8 +25,17 @@ from apo.bounds import (
     surrogate_objective,
     xi_gamma,
 )
-from apo.cli import analysis_report
-from apo.mdp import Mdp, NotErgodicError, TabularPolicy, random_ergodic_mdp, random_policy
+from apo.cli import analysis_report, main
+from apo.envs import make_two_state, switch_policy
+from apo.mdp import (
+    Mdp,
+    NotErgodicError,
+    TabularPolicy,
+    random_ergodic_mdp,
+    random_policy,
+    write_mdp,
+    write_policy,
+)
 
 VIEW_GAMMAS = (0.0, 0.5, 0.9, 1.0)
 
@@ -91,6 +100,25 @@ class TestSolveCounts:
         calls[name]()
         assert counts["solve"] <= (solves_one if gamma == 1.0 else solves_below)
         assert counts["build"] <= builds
+
+    def test_apo_analyze_builds_one_chain(self, counts, tmp_path):
+        # the reachability check reads the transition matrix of the chain
+        # that the report is solved on
+        mdp, pi, _ = random_triples(1, seed=5)[0]
+        write_mdp(mdp, tmp_path / "mdp.json")
+        write_policy(pi, tmp_path / "pi.json")
+        assert main(["analyze", "--mdp", str(tmp_path / "mdp.json"), "--policy",
+                     str(tmp_path / "pi.json"), "--out", str(tmp_path / "r.json")]) == 0
+        assert counts["build"] == 1
+
+    def test_apo_analyze_not_ergodic_payload(self, counts, tmp_path, capsys):
+        write_mdp(make_two_state(), tmp_path / "mdp.json")
+        write_policy(switch_policy(0.0, 0.0), tmp_path / "stay.json")
+        assert main(["analyze", "--mdp", str(tmp_path / "mdp.json"), "--policy",
+                     str(tmp_path / "stay.json"), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            '{"error": "not-ergodic", "detail": {"unreachable_pair": [0, 1]}}\n')
+        assert counts["build"] == 1 and counts["solve"] == 0
 
     def test_chain_reuses_every_quantity(self, counts):
         mdp, pi, _ = random_triples(1, seed=4)[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+from apo import nn
 from apo.nn import (
     LOG_2PI,
     adam_step,
@@ -679,3 +680,117 @@ class TestPolicyForward:
         obs = np.random.default_rng(65).normal(size=(5, 3))
         _, logp = categorical_rows(mlp_forward(params, obs))
         np.testing.assert_array_equal(np.argmax(logp, axis=1), deterministic_action(params, obs))
+
+
+def one_hot_case(n_states, rows, head, out_dim, seed):
+    """A (64, 64) network with every parameter drawn, and a one-hot batch
+    with the state of each row."""
+    rng = np.random.default_rng(seed)
+    params = init_mlp(rng, n_states, out_dim, head, (64, 64))
+    params.flat[...] = rng.normal(scale=0.5, size=params.flat.shape)
+    states = rng.integers(0, n_states, rows)
+    return params, np.eye(n_states)[states], states, rng
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """A fresh probe table, and the row count of every `mlp_forward` call."""
+    rows = []
+    forward = nn.mlp_forward
+
+    def counted(params, x, acts=None):
+        rows.append(len(x))
+        return forward(params, x, acts)
+
+    monkeypatch.setattr(nn, "_DISTINCT_OK", {})
+    monkeypatch.setattr(nn, "mlp_forward", counted)
+    return rows
+
+
+class TestDistinctPass:
+    """At the shapes training uses, one pass over the distinct one-hot rows
+    gives the dense pass's bits: the output, every layer input, each hidden
+    slope and the whole gradient.  The distinct pass rests on this BLAS
+    property; the probe only decides whether to use it."""
+
+    @pytest.mark.parametrize("head,out_dim", [("value", 1), ("categorical", 2)])
+    @pytest.mark.parametrize("rows", [256, 2048])
+    @pytest.mark.parametrize("n_states", [2, 4, 6])
+    def test_distinct_equals_dense_bitwise(self, n_states, rows, head, out_dim):
+        params, obs, states, rng = one_hot_case(n_states, rows, head, out_dim, seed=n_states)
+        dense_acts: list = []
+        dense = mlp_forward(params, obs, dense_acts)
+        out, acts, slopes = nn._distinct_forward(params, states, keep=True)
+        assert same_bits(out, dense)
+        assert len(acts) == len(dense_acts) == 3
+        assert all(same_bits(a, d) for a, d in zip(acts, dense_acts))
+        assert all(same_bits(s, 1.0 - np.square(d)) for s, d in zip(slopes, dense_acts[1:]))
+        g_out = rng.normal(size=dense.shape)
+        assert same_bits(backward(params, acts, g_out, slopes=slopes),
+                         backward(params, dense_acts, g_out))
+
+    @pytest.mark.parametrize("rows", [256, 2048])
+    @pytest.mark.parametrize("n_states", [2, 4, 6])
+    def test_helpers_with_states_equal_dense_bitwise(self, forwards, n_states, rows):
+        value, obs, states, rng = one_hot_case(n_states, rows, "value", 1, seed=10 + n_states)
+        policy, _, _, _ = one_hot_case(n_states, rows, "categorical", 2, seed=20 + n_states)
+        actions = rng.integers(0, 2, rows)
+        g = rng.normal(size=rows)
+        v, vjp = value_vjp(value, obs, states)
+        v_dense, vjp_dense = value_vjp(value, obs)
+        assert same_bits(v, v_dense) and same_bits(vjp(g), vjp_dense(g))
+        assert same_bits(value_forward(value, obs, states), v_dense)
+        logp, vjp = policy_log_prob_vjp(policy, obs, actions, states)
+        logp_dense, vjp_dense = policy_log_prob_vjp(policy, obs, actions)
+        assert same_bits(logp, logp_dense) and same_bits(vjp(g), vjp_dense(g))
+        assert same_bits(policy_log_prob(policy, obs, actions, states), logp_dense)
+        assert all(nn._DISTINCT_OK.values()) and len(nn._DISTINCT_OK) == 2
+
+    def test_probe_runs_once_per_shape(self, forwards):
+        params, obs, states, _ = one_hot_case(4, 256, "value", 1, seed=1)
+        value_forward(params, obs, states)
+        assert forwards == [256, 4, 4]  # the probe's two passes, then the distinct one
+        value_forward(params, obs, states)
+        value_vjp(params, obs, states)
+        assert forwards == [256, 4, 4, 4, 4]
+        assert nn._DISTINCT_OK == {(4, (64, 64), 1, 256): True}
+
+    def test_probe_mismatch_keeps_the_shape_dense(self, forwards, monkeypatch):
+        probes = []
+        monkeypatch.setattr(nn, "_probe", lambda *args: probes.append(args) or False)
+        params, obs, states, rng = one_hot_case(4, 256, "value", 1, seed=2)
+        g = rng.normal(size=256)
+        for _ in range(2):
+            v, vjp = value_vjp(params, obs, states)
+            v_dense, vjp_dense = value_vjp(params, obs)
+            assert same_bits(v, v_dense) and same_bits(vjp(g), vjp_dense(g))
+        assert len(probes) == 1
+        assert forwards == [256] * 4
+        assert nn._DISTINCT_OK == {(4, (64, 64), 1, 256): False}
+        out, acts, slopes = nn._forward(params, obs, states, keep=True)
+        assert slopes is None and acts[0] is not None and len(out) == 256
+
+    @pytest.mark.parametrize("rows", [1, 255, 257, 2049])
+    def test_row_counts_off_a_multiple_of_4_stay_dense(self, forwards, rows):
+        params, obs, states, _ = one_hot_case(4, rows, "categorical", 2, seed=3)
+        policy_log_prob(params, obs, np.zeros(rows, dtype=np.int64), states)
+        policy_log_prob_vjp(params, obs, np.zeros(rows, dtype=np.int64), states)
+        assert forwards == [rows, rows]
+        assert nn._DISTINCT_OK == {}
+
+    def test_no_states_stays_dense(self, forwards):
+        params, obs, _, _ = one_hot_case(4, 256, "value", 1, seed=4)
+        value_forward(params, obs)
+        value_vjp(params, obs)
+        assert forwards == [256, 256]
+        assert nn._DISTINCT_OK == {}
+
+    def test_distinct_rows_pad_by_repetition(self):
+        np.testing.assert_array_equal(nn._distinct_rows(2), np.eye(2)[[0, 1, 0, 1]])
+        np.testing.assert_array_equal(nn._distinct_rows(6), np.eye(6)[[0, 1, 2, 3, 4, 5, 0, 1]])
+        assert nn._distinct_rows(4).shape == (4, 4)
+        assert not nn._distinct_rows(4).flags.writeable

@@ -127,6 +127,7 @@ def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng):
     the array-row loop that list rows replaced.  Each draw is a clamped
     ``np.searchsorted`` over a cumulative numpy row, the state is read back
     with ``np.argmax(obs)``, and the log-probability is a scalar ``np.log``.
+    The recorded states are read back from the observations the same way.
     Returns the batch and the observation after the last step."""
     cum_env = np.cumsum(mdp.transition, axis=2)
     cum_pi = np.cumsum(policy.probs, axis=1)
@@ -153,6 +154,7 @@ def array_row_rollout(mdp, policy, value, state, n_steps, env_rng, rng):
         old_log_prob=np.array(logps),
         value=values[:-1],
         next_value=values[1:],
+        states=np.argmax(all_obs[:-1], axis=1),
     ), all_obs[-1]
 
 
@@ -1068,6 +1070,104 @@ class TestTrainLoop:
 
     def test_stream_constants(self):
         assert (ENV_STREAM, INIT_STREAM, SAMPLE_STREAM, EVAL_STREAM) == (0, 1, 2, 3)
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """A fresh probe table, and the row count of every `mlp_forward` call."""
+    rows = []
+    forward = nn.mlp_forward
+
+    def counted(params, x, acts=None):
+        rows.append(len(x))
+        return forward(params, x, acts)
+
+    monkeypatch.setattr(nn, "_DISTINCT_OK", {})
+    monkeypatch.setattr(nn, "mlp_forward", counted)
+    monkeypatch.setattr(training, "mlp_forward", counted)
+    return rows
+
+
+class TestDistinctPass:
+    """Tabular batches carry their states, and the network passes that
+    can forward the distinct one-hot rows do so without moving a bit."""
+
+    @pytest.mark.parametrize("name", ["twostate", "twoloop", "random8"])
+    @pytest.mark.parametrize("acting", ["network", "table"])
+    def test_tabular_batch_records_its_states(self, name, acting):
+        mdp, behavior = tabular_case(name)
+        policy = (init_mlp(np.random.default_rng(1), mdp.n_states, mdp.n_actions,
+                           "categorical", (8,)) if acting == "network" else behavior)
+        value = init_mlp(np.random.default_rng(2), mdp.n_states, 1, "value", (8,))
+        env = TabularEnv(mdp, np.random.default_rng(3))
+        batch = collect_rollout(env, policy, value, 100, np.random.default_rng(4))
+        assert batch.states.dtype == np.int64 and batch.states.shape == (100,)
+        np.testing.assert_array_equal(batch.states, np.argmax(batch.obs, axis=1))
+        expected = np.eye(mdp.n_states)[batch.states]
+        assert batch.obs.tobytes() == expected.tobytes()
+        end = env.state
+        assert collect_rollout(env, policy, value, 1, np.random.default_rng(5)).states[0] == end
+
+    def test_pendulum_batches_carry_no_states(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("distinct pass off a TabularEnv")
+
+        monkeypatch.setattr(nn, "_distinct_forward", refuse)
+        cfg = tiny_config(iterations=2, rollout_len=32, minibatch=16, eval_every=0)
+        run = start_run(seeded_env("pendulum", cfg.seed), cfg)
+        batch = collect_rollout(run.env, run.acting, run.value, 32, run.sample_rng)
+        assert batch.states is None
+        train(seeded_env("pendulum", cfg.seed), cfg)
+
+    @pytest.mark.parametrize("n_steps", [2048, 2047, 256])
+    def test_critic_pass_stays_dense(self, forward_rows, n_steps):
+        env = seeded_env("twoloop", 0)
+        policy = init_mlp(np.random.default_rng(6), 4, 2, "categorical")
+        value = init_mlp(np.random.default_rng(7), 4, 1, "value")
+        collect_rollout(env, policy, value, n_steps, np.random.default_rng(8))
+        # one row per visited state for the actor's table, then the critic
+        assert forward_rows[-1] == n_steps + 1
+        assert set(forward_rows[:-1]) == {1}
+        assert nn._DISTINCT_OK == {}
+
+    def test_minibatch_off_a_multiple_of_4_stays_dense(self, forward_rows):
+        cfg = tiny_config(iterations=1, rollout_len=24, minibatch=6, epochs=1,
+                          hidden=(64, 64), eval_every=0)
+        train(seeded_env("twoloop", cfg.seed), cfg)
+        # the minibatches run dense; only the 24-row logged passes go distinct
+        assert forward_rows.count(6) == 2 * (24 // 6)
+        assert set(nn._DISTINCT_OK) == {(4, (64, 64), 2, 24), (4, (64, 64), 1, 24)}
+
+    @pytest.mark.parametrize("algo,env_name", [("apo", "twoloop"), ("ppo", "twoloop"),
+                                               ("apo", "twostate")])
+    def test_training_log_is_the_dense_log(self, monkeypatch, tmp_path,
+                                           algo, env_name):
+        cfg = tiny_config(algo=algo, gamma=0.9, iterations=3, rollout_len=256, minibatch=64,
+                          hidden=(64, 64), eval_every=3, seed=11)
+        paths, values = [], []
+        for dense in (False, True):  # the second run's probe reports a mismatch
+            monkeypatch.setattr(nn, "_DISTINCT_OK", {})
+            if dense:
+                monkeypatch.setattr(nn, "_probe", lambda *args: False)
+            log = train(seeded_env(env_name, cfg.seed), cfg)
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            log.write_csv(paths[-1])
+            values.append(log.state.value.flat.tobytes() + log.state.policy.flat.tobytes())
+            assert set(nn._DISTINCT_OK.values()) == {not dense}
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert values[0] == values[1]
+
+    def test_drift_log_is_the_dense_log(self, monkeypatch):
+        series = []
+        for dense in (False, True):
+            monkeypatch.setattr(nn, "_DISTINCT_OK", {})
+            if dense:
+                monkeypatch.setattr(nn, "_probe", lambda *args: False)
+            res = value_drift_experiment(seeded_env("twostate", 0), switch_policy(0.5, 0.5),
+                                         0.3, iterations=20, seed=0)
+            series.append(res.b_series.tobytes() + res.eta_series.tobytes())
+            assert nn._DISTINCT_OK == {(2, (64, 64), 1, 256): not dense}
+        assert series[0] == series[1]
 
 
 class TestEvaluate:

@@ -23,11 +23,21 @@ a temporary directory.  The set:
 
 Every listed output is hashed, the printed lines included; a call that
 exits non-zero stops the run.  It takes about ten seconds on two cores.
+
+A float depends on the BLAS build and the kernel it picks for the CPU, so
+the listing starts with two ``#`` lines naming the numpy and OpenBLAS in
+use.  ``tools/log_digest.txt`` is the committed listing, which
+``tests/test_log_digest.py`` compares against; the test skips when those
+two lines differ from the running ones.  A change that moves a float on
+purpose regenerates it:
+
+    python3 tools/log_digest.py > tools/log_digest.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -117,6 +127,27 @@ def calls(work: Path) -> list[tuple[str, list[str], list[Path]]]:
     return out
 
 
+def versions() -> list[str]:
+    """The numpy version and the OpenBLAS configuration in use, one line
+    each.  The configuration comes from the loaded library, since it names
+    the kernel picked at run time; failing that, the build's version."""
+    numpy = f"numpy {np.__version__}"
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        maps = []
+    for lib_path in sorted({ln.split()[-1] for ln in maps if "openblas" in ln.lower()}):
+        lib = ctypes.CDLL(lib_path)
+        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_",
+                       "openblas_get_config"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                return [numpy, getter().decode().strip()]
+    version = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    return [numpy, f"OpenBLAS {version}"]
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -126,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory holding the apo package to run")
     args = parser.parse_args(argv)
+    for line in versions():
+        print(f"# {line}")
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="apo-digest-") as tmp:
