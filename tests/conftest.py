@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
+from apo import nn, training
 from apo.envs import make_two_loop, make_two_state, switch_policy
 from apo.mdp import TabularPolicy
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """A fresh table of distinct-pass probes, and the row count of every
+    `mlp_forward` call made from `apo.nn` or `apo.training`."""
+    rows = []
+    forward = nn.mlp_forward
+
+    def counted(params, x, acts=None):
+        rows.append(len(x))
+        return forward(params, x, acts)
+
+    monkeypatch.setattr(nn, "_DISTINCT_OK", {})
+    monkeypatch.setattr(nn, "mlp_forward", counted)
+    monkeypatch.setattr(training, "mlp_forward", counted)
+    return rows
 
 
 @pytest.fixture

@@ -696,21 +696,6 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.fixture
-def forwards(monkeypatch):
-    """A fresh probe table, and the row count of every `mlp_forward` call."""
-    rows = []
-    forward = nn.mlp_forward
-
-    def counted(params, x, acts=None):
-        rows.append(len(x))
-        return forward(params, x, acts)
-
-    monkeypatch.setattr(nn, "_DISTINCT_OK", {})
-    monkeypatch.setattr(nn, "mlp_forward", counted)
-    return rows
-
-
 class TestDistinctPass:
     """At the shapes training uses, one pass over the distinct one-hot rows
     gives the dense pass's bits: the output, every layer input, each hidden
@@ -735,7 +720,7 @@ class TestDistinctPass:
 
     @pytest.mark.parametrize("rows", [256, 2048])
     @pytest.mark.parametrize("n_states", [2, 4, 6])
-    def test_helpers_with_states_equal_dense_bitwise(self, forwards, n_states, rows):
+    def test_helpers_with_states_equal_dense_bitwise(self, forward_rows, n_states, rows):
         value, obs, states, rng = one_hot_case(n_states, rows, "value", 1, seed=10 + n_states)
         policy, _, _, _ = one_hot_case(n_states, rows, "categorical", 2, seed=20 + n_states)
         actions = rng.integers(0, 2, rows)
@@ -750,16 +735,16 @@ class TestDistinctPass:
         assert same_bits(policy_log_prob(policy, obs, actions, states), logp_dense)
         assert all(nn._DISTINCT_OK.values()) and len(nn._DISTINCT_OK) == 2
 
-    def test_probe_runs_once_per_shape(self, forwards):
+    def test_probe_runs_once_per_shape(self, forward_rows):
         params, obs, states, _ = one_hot_case(4, 256, "value", 1, seed=1)
         value_forward(params, obs, states)
-        assert forwards == [256, 4, 4]  # the probe's two passes, then the distinct one
+        assert forward_rows == [256, 4, 4]  # the probe's two passes, then the distinct one
         value_forward(params, obs, states)
         value_vjp(params, obs, states)
-        assert forwards == [256, 4, 4, 4, 4]
+        assert forward_rows == [256, 4, 4, 4, 4]
         assert nn._DISTINCT_OK == {(4, (64, 64), 1, 256): True}
 
-    def test_probe_mismatch_keeps_the_shape_dense(self, forwards, monkeypatch):
+    def test_probe_mismatch_keeps_the_shape_dense(self, forward_rows, monkeypatch):
         probes = []
         monkeypatch.setattr(nn, "_probe", lambda *args: probes.append(args) or False)
         params, obs, states, rng = one_hot_case(4, 256, "value", 1, seed=2)
@@ -769,24 +754,24 @@ class TestDistinctPass:
             v_dense, vjp_dense = value_vjp(params, obs)
             assert same_bits(v, v_dense) and same_bits(vjp(g), vjp_dense(g))
         assert len(probes) == 1
-        assert forwards == [256] * 4
+        assert forward_rows == [256] * 4
         assert nn._DISTINCT_OK == {(4, (64, 64), 1, 256): False}
         out, acts, slopes = nn._forward(params, obs, states, keep=True)
         assert slopes is None and acts[0] is not None and len(out) == 256
 
     @pytest.mark.parametrize("rows", [1, 255, 257, 2049])
-    def test_row_counts_off_a_multiple_of_4_stay_dense(self, forwards, rows):
+    def test_row_counts_off_a_multiple_of_4_stay_dense(self, forward_rows, rows):
         params, obs, states, _ = one_hot_case(4, rows, "categorical", 2, seed=3)
         policy_log_prob(params, obs, np.zeros(rows, dtype=np.int64), states)
         policy_log_prob_vjp(params, obs, np.zeros(rows, dtype=np.int64), states)
-        assert forwards == [rows, rows]
+        assert forward_rows == [rows, rows]
         assert nn._DISTINCT_OK == {}
 
-    def test_no_states_stays_dense(self, forwards):
+    def test_no_states_stays_dense(self, forward_rows):
         params, obs, _, _ = one_hot_case(4, 256, "value", 1, seed=4)
         value_forward(params, obs)
         value_vjp(params, obs)
-        assert forwards == [256, 256]
+        assert forward_rows == [256, 256]
         assert nn._DISTINCT_OK == {}
 
     def test_distinct_rows_pad_by_repetition(self):

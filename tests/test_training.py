@@ -1072,22 +1072,6 @@ class TestTrainLoop:
         assert (ENV_STREAM, INIT_STREAM, SAMPLE_STREAM, EVAL_STREAM) == (0, 1, 2, 3)
 
 
-@pytest.fixture
-def forward_rows(monkeypatch):
-    """A fresh probe table, and the row count of every `mlp_forward` call."""
-    rows = []
-    forward = nn.mlp_forward
-
-    def counted(params, x, acts=None):
-        rows.append(len(x))
-        return forward(params, x, acts)
-
-    monkeypatch.setattr(nn, "_DISTINCT_OK", {})
-    monkeypatch.setattr(nn, "mlp_forward", counted)
-    monkeypatch.setattr(training, "mlp_forward", counted)
-    return rows
-
-
 class TestDistinctPass:
     """Tabular batches carry their states, and the network passes that
     can forward the distinct one-hot rows do so without moving a bit."""
